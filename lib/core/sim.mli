@@ -1,44 +1,17 @@
-(** End-to-end simulation harness for the lease protocol.
+(** End-to-end simulation driver for the lease protocol.
 
-    Builds a cluster — one server, N client caches, a network with the
-    configured message times — drives a workload trace through it, injects
-    the requested faults, and returns a {!Metrics.t}.  The consistency
-    oracle always observes the run.
+    Builds a lease cluster on a {!Harness.world} — one server, N client
+    caches, a network with the configured message times — drives a
+    workload trace through it, injects the requested faults, and returns
+    a {!Metrics.t}.  The consistency oracle always observes the run.
 
-    Host layout: the server is host 0; client index [i] is host [i + 1]. *)
+    Host layout: the server is host 0; client index [i] is host [i + 1].
+    {!cluster} is the same builder for K servers. *)
 
-type fault =
-  | Crash_client of { client : int; at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-  | Crash_server of { at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-  | Crash_shard of { shard : int; at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-      (** crash the server owning the given shard.  The single-server
-          harnesses treat this as {!Crash_server} whatever the index;
-          [Shard.Deploy] resolves the index to the owning host. *)
-  | Partition_clients of { clients : int list; at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-      (** cut the listed clients off from the rest (server included) *)
-  | Client_drift of { client : int; at : Simtime.Time.t; drift : float }
-  | Server_drift of { shard : int; at : Simtime.Time.t; drift : float }
-      (** drift the clock of the server owning shard [shard].  The
-          single-server harnesses have one server whatever the index;
-          [Shard.Deploy] resolves the index (modulo the shard count) to
-          that shard's clock.  The spec grammar's two-argument form
-          ([server-drift=AT,RATE]) parses as shard 0, so pre-sharding
-          schedules replay unchanged. *)
-  | Client_step of { client : int; at : Simtime.Time.t; step : Simtime.Time.Span.t }
-  | Server_step of { shard : int; at : Simtime.Time.t; step : Simtime.Time.Span.t }
-      (** step the owning server's clock; same shard resolution and
-          two-argument default as {!Server_drift} *)
-
-val fault_to_spec : fault -> string
-(** The [--fault] command-line form of a fault
-    (e.g. ["server-drift=40,-0.5"]), as accepted by [leases-sim] and
-    printed by the campaign harness's shrunk reproducers. *)
-
-val fault_of_spec : string -> (fault, string) result
-(** Inverse of {!fault_to_spec}; round-trips every fault (times carry
-    microsecond precision). *)
-
-val pp_fault : Format.formatter -> fault -> unit
+include module type of struct
+  include Fault
+end
+(** The fault vocabulary and its [--fault] grammar; see {!Fault}. *)
 
 type setup = {
   seed : int64;
@@ -97,5 +70,45 @@ type outcome = {
 }
 
 val run : setup -> trace:Workload.Trace.t -> outcome
-(** Operations by clients beyond [n_clients - 1] raise
-    [Invalid_argument]. *)
+(** Operations or faults naming clients beyond [n_clients - 1] raise
+    [Invalid_argument] before the run starts. *)
+
+(** {1 The lease cluster builder} *)
+
+type cluster = {
+  world : Messages.payload Harness.world;
+  layout : Harness.layout;  (** with every server and client clock *)
+  servers : Server.t array;  (** local shard [first_shard + k] is [servers.(k)] *)
+  clients : Client.t array;
+}
+
+val cluster :
+  Messages.payload Harness.world ->
+  n_clients:int ->
+  config:Config.t ->
+  ?n_shards:int ->
+  ?first_shard:int ->
+  ?n_local:int ->
+  ?server_config:(int -> Config.t) ->
+  ?route:(Vstore.File_id.t -> Host.Host_id.t) ->
+  unit ->
+  cluster
+(** Lease servers for shards [first_shard .. first_shard + n_local - 1]
+    of [n_shards] (defaults: shard 0 of 1, all shards local) sharing the
+    world's store, and [n_clients] clients, each host with its own clock.
+    Shard [s]'s server runs [server_config s] (default [config]).
+    Clients send to the first local server unless [route] says
+    otherwise, and number requests from [host lsl 32 lor first_shard lsl 26]. *)
+
+val drive :
+  cluster ->
+  ?on_read:(Workload.Op.t -> Client.read_result -> unit) ->
+  ?on_write:(Workload.Op.t -> Client.write_result -> unit) ->
+  Workload.Op.t list ->
+  unit
+(** {!Harness.drive} through the clients; the oracle checks each read
+    after [on_read] sees it. *)
+
+val metrics : cluster -> Metrics.t
+(** Counters summed over clients and servers, [write_wait] merged in
+    server order. *)

@@ -10,12 +10,12 @@
     tables and clocks, so a crashed shard runs the max-term recovery wait
     on its own while the others keep serving.
 
-    Fault vocabulary: [Leases.Sim.Crash_shard] crashes the owning server
-    of the given shard (index taken modulo the shard count); a plain
-    [Crash_server] and the server clock faults target shard 0, so
-    single-server fault schedules replay on a sharded cluster.  The
-    consistency oracle observes the shared store exactly as in the
-    single-server harness. *)
+    Both cluster models below are [Leases.Sim.cluster] on a
+    [Leases.Harness] world, faulted by [Leases.Harness.schedule_faults]:
+    shard indices resolve modulo the shard count and [Crash_server] means
+    shard 0, so single-server fault schedules replay on a sharded cluster.
+    The consistency oracle observes the shared store exactly as in the
+    single-server driver. *)
 
 type setup = {
   seed : int64;
@@ -85,6 +85,8 @@ type outcome = {
 }
 
 val run : setup -> trace:Workload.Trace.t -> outcome
+(** Trace ops and faults naming a client outside [0, n_clients) raise
+    [Invalid_argument] before the run starts. *)
 
 (** {1 Split deployment} — one self-contained sub-simulation per shard.
 
@@ -96,7 +98,9 @@ val run : setup -> trace:Workload.Trace.t -> outcome
     starts.  All [n_clients] client machines exist in every part (an op
     reaches the part owning its file; an idle client contributes
     nothing), with distinct request-id origins so correlation ids stay
-    unique in the merged trace.
+    unique in the merged trace.  Client-machine faults apply in every
+    part and are traced by part 0 only; server faults apply in the part
+    that runs the shard.
 
     The result is deterministic in the seed and independent of [domains]:
     metrics sum, latency histograms fold with {!Stats.Histogram.merge} in
@@ -136,7 +140,8 @@ val run_split : ?domains:int -> setup -> trace:Workload.Trace.t -> split_outcome
     concurrently; [min domains n_shards] are used, pulling shard indices
     from a shared counter.  [~domains:1] runs the parts sequentially on
     the calling domain and produces bit-identical results to any other
-    domain count. *)
+    domain count.  Bad client indices raise as for {!run}, before any
+    domain starts. *)
 
 val residual_params :
   ?tolerance:float -> ?warmup_s:float -> setup -> Telemetry.Residual.params

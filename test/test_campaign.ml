@@ -66,7 +66,16 @@ let test_shard_indexed_clock_fault_specs () =
       match Leases.Sim.fault_of_spec spec with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "spec %S must be rejected" spec)
-    [ "server-drift=nan,0.5"; "server-step=1e300,2"; "crash-server=nan,5" ]
+    [
+      "server-drift=nan,0.5";
+      "server-step=1e300,2";
+      "crash-server=nan,5";
+      (* indices are whole and non-negative: no truncation, no NaN, no
+         negative host ids *)
+      "crash-client=1.7,10,5";
+      "crash-client=nan,10,5";
+      "crash-shard=-1,10,5";
+    ]
 
 let test_campaign_report_byte_identical () =
   let report () =

@@ -249,10 +249,69 @@ let test_backward_server_step_mid_wait () =
   in
   check_commit_at_server_expiry ~min_wait:13. (run_checked setup expiry_wait_trace)
 
+let test_out_of_range_fault_client_rejected () =
+  (* every driver goes through one fault injector, which checks each
+     fault's client indices before the engine starts: a drift on client 9
+     or a partition naming client 99 in a 4-client cluster is an
+     [Invalid_argument] from the driver, not a mid-run [index out of
+     bounds] or a partition of a host that does not exist *)
+  let trace =
+    (Experiments.V_trace.poisson ~clients:4 ~duration:(span 30.) ()).Experiments.V_trace.trace
+  in
+  let drivers faults =
+    [
+      ( "Sim.run",
+        fun () ->
+          ignore
+            (Leases.Sim.run
+               { Leases.Sim.default_setup with Leases.Sim.n_clients = 4; faults }
+               ~trace) );
+      ( "Deploy.run",
+        fun () ->
+          ignore
+            (Shard.Deploy.run
+               { Shard.Deploy.default_setup with Shard.Deploy.n_clients = 4; faults }
+               ~trace) );
+      ( "Deploy.run_split",
+        fun () ->
+          ignore
+            (Shard.Deploy.run_split ~domains:2
+               { Shard.Deploy.default_setup with Shard.Deploy.n_clients = 4; faults }
+               ~trace) );
+      ( "Callback.run",
+        fun () ->
+          ignore
+            (Baselines.Callback.run
+               { Baselines.Callback.default_setup with Baselines.Callback.n_clients = 4; faults }
+               ~trace) );
+    ]
+  in
+  List.iter
+    (fun spec ->
+      let fault =
+        match Leases.Sim.fault_of_spec spec with Ok f -> f | Error why -> Alcotest.fail why
+      in
+      List.iter
+        (fun (name, run) ->
+          match run () with
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s names itself and the bad client for %s (%s)" name spec msg)
+              true
+              (String.starts_with ~prefix:(name ^ ": fault " ^ spec) msg)
+          | () -> Alcotest.failf "%s accepted %s on a 4-client cluster" name spec)
+        (drivers [ fault ]))
+    [ "client-drift=9,10,0.5"; "partition=1+99,10,5"; "crash-client=4,10,5"; "client-step=7,10,1" ]
+
 let () =
   Alcotest.run "faults"
     [
       ("drills", [ Alcotest.test_case "all paper predictions hold" `Slow test_drills_all_ok ]);
+      ( "injector",
+        [
+          Alcotest.test_case "out-of-range client rejected" `Quick
+            test_out_of_range_fault_client_rejected;
+        ] );
       ( "crash",
         [
           Alcotest.test_case "write wait bounded by term" `Quick test_write_wait_bounded_by_term;

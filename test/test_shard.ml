@@ -345,6 +345,73 @@ let test_split_merged_trace_ordered () =
   Alcotest.(check bool) "timestamps non-decreasing" true
     (ordered (Trace.Sink.buffer_contents buf))
 
+let test_single_shard_deploy_is_sim () =
+  (* Sim.run and Deploy.run ~n_shards:1 build the same cluster through the
+     same harness, so a seeded lossy run with faults of every kind gives the
+     same metrics JSON and the same encoded trace, byte for byte *)
+  let faults =
+    List.map fault_exn
+      [
+        "crash-client=2,30,10"; "crash-server=40,8"; "partition=1+3,50,5"; "client-drift=4,60,0.3";
+        "server-drift=70,0.2"; "client-step=5,80,1.5"; "server-step=90,-1";
+      ]
+  in
+  let trace = v_trace ~duration:150. () in
+  List.iter
+    (fun seed ->
+      let sim_buf = Trace.Sink.buffer () in
+      let sim =
+        Leases.Sim.run
+          {
+            Leases.Sim.default_setup with
+            Leases.Sim.seed;
+            n_clients = 6;
+            loss = 0.02;
+            faults;
+            tracer = Trace.Sink.buffer_sink sim_buf;
+          }
+          ~trace
+      in
+      let deploy_buf = Trace.Sink.buffer () in
+      let deployed =
+        Shard.Deploy.run
+          {
+            (sharded_setup ~n_shards:1 ~faults ~tracer:(Trace.Sink.buffer_sink deploy_buf) ()) with
+            Shard.Deploy.seed;
+            loss = 0.02;
+          }
+          ~trace
+      in
+      let encoded buf = List.map Trace.Codec.encode (Trace.Sink.buffer_contents buf) in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld: metrics identical" seed)
+        (Leases.Metrics.to_json sim.Leases.Sim.metrics)
+        (Leases.Metrics.to_json deployed.Shard.Deploy.metrics);
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %Ld: traces identical" seed)
+        (encoded sim_buf) (encoded deploy_buf))
+    [ 1L; 3L; 7L ]
+
+let test_split_client_faults_traced_once () =
+  (* every part holds every client machine and applies its faults, but
+     only part 0 traces them: the merged stream shows one crash, one
+     recovery and one drift for the faulted client *)
+  let buf = Trace.Sink.buffer () in
+  let faults = List.map fault_exn [ "crash-client=3,50,15"; "client-drift=3,60,0.5" ] in
+  let setup = sharded_setup ~faults ~tracer:(Trace.Sink.buffer_sink buf) () in
+  ignore (Shard.Deploy.run_split ~domains:4 setup ~trace:(v_trace ~duration:120. ()));
+  let host = Host.Host_id.to_int (Shard.Deploy.client_host setup 3) in
+  let count p =
+    List.length
+      (List.filter (fun (e : Trace.Event.t) -> p e.Trace.Event.ev) (Trace.Sink.buffer_contents buf))
+  in
+  Alcotest.(check int) "one crash" 1
+    (count (function Trace.Event.Crash { host = h } -> h = host | _ -> false));
+  Alcotest.(check int) "one recovery" 1
+    (count (function Trace.Event.Recover { host = h } -> h = host | _ -> false));
+  Alcotest.(check int) "one drift" 1
+    (count (function Trace.Event.Clock_drift { host = h; _ } -> h = host | _ -> false))
+
 let test_deploy_deterministic () =
   let trace = v_trace ~duration:120. () in
   let run () =
@@ -369,6 +436,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deploy_deterministic;
           Alcotest.test_case "golden: clean run unchanged" `Quick test_golden_sequential_clean;
           Alcotest.test_case "golden: faulted run unchanged" `Quick test_golden_sequential_faults;
+          Alcotest.test_case "one shard is Sim, byte for byte" `Quick test_single_shard_deploy_is_sim;
         ] );
       ( "split",
         [
@@ -376,6 +444,8 @@ let () =
           Alcotest.test_case "failover checked on 4 domains" `Quick
             test_split_failover_checker_parallel;
           Alcotest.test_case "merged trace time-ordered" `Quick test_split_merged_trace_ordered;
+          Alcotest.test_case "client faults traced once" `Quick
+            test_split_client_faults_traced_once;
         ] );
       ( "failover",
         [
