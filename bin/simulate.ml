@@ -243,6 +243,8 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
            protocol);
     if shards > 1 && protocol <> "leases" then
       failwith "--shards runs the sharded lease deployment; it needs --protocol leases";
+    if protocol = "ttl" && term_s < 0. then
+      failwith "--term: a TTL hint is never infinite; --protocol ttl needs a term of 0 s or more";
     if profile_out <> None && not profile then failwith "--profile-out requires --profile";
     if profile && protocol <> "leases" then
       failwith
@@ -357,7 +359,7 @@ and run_single ~protocol ~term ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~fau
         in
         (Baselines.Callback.run setup ~trace).Leases.Sim.metrics
       | "ttl" ->
-        let ttl = if term_s <= 0. then span_sec 10. else span_sec term_s in
+        let ttl = span_sec term_s in
         let setup =
           { Baselines.Ttl_hints.default_setup with
             Baselines.Ttl_hints.n_clients = clients; m_prop; m_proc; loss; seed; ttl; tracer;
@@ -373,7 +375,8 @@ let protocol =
 
 let term =
   Arg.(value & opt float 10.
-       & info [ "t"; "term" ] ~docv:"SEC" ~doc:"Lease term (or TTL) in seconds; negative = infinite.")
+       & info [ "t"; "term" ] ~docv:"SEC"
+           ~doc:"Lease term (or TTL) in seconds; negative = infinite (leases only).")
 
 let clients =
   Arg.(value & opt int 1 & info [ "n"; "clients" ] ~docv:"N" ~doc:"Number of client caches.")

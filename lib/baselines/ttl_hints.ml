@@ -1,16 +1,12 @@
-open Simtime
-module Host_id = Host.Host_id
-module File_id = Vstore.File_id
-
 type setup = {
   seed : int64;
   n_clients : int;
-  m_prop : Time.Span.t;
-  m_proc : Time.Span.t;
+  m_prop : Simtime.Time.Span.t;
+  m_proc : Simtime.Time.Span.t;
   loss : float;
   faults : Leases.Sim.fault list;
-  drain : Time.Span.t;
-  ttl : Time.Span.t;
+  drain : Simtime.Time.Span.t;
+  ttl : Simtime.Time.Span.t;
   tracer : Trace.Sink.t;
 }
 
@@ -18,322 +14,26 @@ let default_setup =
   {
     seed = 1L;
     n_clients = 1;
-    m_prop = Time.Span.of_ms 0.5;
-    m_proc = Time.Span.of_ms 1.;
+    m_prop = Simtime.Time.Span.of_ms 0.5;
+    m_proc = Simtime.Time.Span.of_ms 1.;
     loss = 0.;
     faults = [];
-    drain = Time.Span.of_sec 120.;
-    ttl = Time.Span.of_sec 10.;
+    drain = Simtime.Time.Span.of_sec 120.;
+    ttl = Simtime.Time.Span.of_sec 10.;
     tracer = Trace.Sink.null;
   }
 
-type payload =
-  | Fetch_request of { req : int; file : File_id.t }
-  | Fetch_reply of { req : int; file : File_id.t; version : Vstore.Version.t; ttl : Time.Span.t }
-  | Write_request of { req : int; file : File_id.t }
-  | Write_reply of { req : int; file : File_id.t; version : Vstore.Version.t }
-
-let payload_name = function
-  | Fetch_request _ -> "fetch-req"
-  | Fetch_reply _ -> "fetch-rep"
-  | Write_request _ -> "write-req"
-  | Write_reply _ -> "write-rep"
-
-type server = {
-  s_net : payload Netsim.Net.t;
-  s_host : Host_id.t;
-  s_store : Vstore.Store.t;
-  s_engine : Engine.t;
-  s_ttl : Time.Span.t;
-  s_counters : Stats.Counter.Registry.t;
-  s_applied : (Host_id.t * int, Vstore.Version.t) Hashtbl.t;
-  s_tracer : Trace.Sink.t;
-  mutable s_up : bool;
-}
-
-let now_sec engine = Time.to_sec (Engine.now engine)
-
-let s_count srv name = Stats.Counter.incr (Stats.Counter.Registry.counter srv.s_counters name)
-
-let s_send srv ~dst payload =
-  (match payload with
-  | Fetch_request _ | Fetch_reply _ -> s_count srv "msgs/extension"
-  | Write_request _ | Write_reply _ -> s_count srv "msgs/write-transfer");
-  Netsim.Net.send srv.s_net ~src:srv.s_host ~dst payload
-
-let s_handle srv (envelope : payload Netsim.Net.envelope) =
-  if srv.s_up then begin
-    (match envelope.payload with
-    | Fetch_request _ | Fetch_reply _ -> s_count srv "msgs/extension"
-    | Write_request _ | Write_reply _ -> s_count srv "msgs/write-transfer");
-    match envelope.payload with
-    | Fetch_request { req; file } ->
-      s_send srv ~dst:envelope.src
-        (Fetch_reply { req; file; version = Vstore.Store.current srv.s_store file; ttl = srv.s_ttl })
-    | Write_request { req; file } ->
-      let version =
-        match Hashtbl.find_opt srv.s_applied (envelope.src, req) with
-        | Some version -> version
-        | None ->
-          (* No leaseholders to consult: the write commits immediately.
-             The server holds no promises, so no lease or cover record
-             precedes the commit in the trace — outstanding client hints
-             are simply left stale until their TTLs run out. *)
-          let version = Vstore.Store.commit srv.s_store file ~at:(Engine.now srv.s_engine) in
-          Hashtbl.replace srv.s_applied (envelope.src, req) version;
-          s_count srv "commits";
-          if Trace.Sink.enabled srv.s_tracer then
-            Trace.Sink.emit srv.s_tracer (now_sec srv.s_engine)
-              (Trace.Event.Commit
-                 {
-                   write = None;
-                   op = req;
-                   file = File_id.to_int file;
-                   writer = Host_id.to_int envelope.src;
-                   version = Vstore.Version.to_int version;
-                   server_now = now_sec srv.s_engine;
-                   waited_s = 0.;
-                 });
-          version
-      in
-      s_send srv ~dst:envelope.src (Write_reply { req; file; version })
-    | Fetch_reply _ | Write_reply _ -> ()
-  end
-
-type entry = { mutable version : Vstore.Version.t; mutable expires : Time.t }
-
-type client_rpc_kind =
-  | C_read of { file : File_id.t; k : Vstore.Version.t -> unit }
-  | C_write of { file : File_id.t; k : Vstore.Version.t -> unit }
-
-type client_rpc = {
-  c_req : int;
-  c_started : Time.t;
-  c_kind : client_rpc_kind;
-  c_message : payload;
-  mutable c_timer : Engine.handle option;
-}
-
-type client = {
-  c_engine : Engine.t;
-  c_clock : Clock.t;
-  c_net : payload Netsim.Net.t;
-  c_host : Host_id.t;
-  c_server : Host_id.t;
-  c_retry : Time.Span.t;
-  c_counters : Stats.Counter.Registry.t;
-  c_cache : (File_id.t, entry) Hashtbl.t;
-  c_rpcs : (int, client_rpc) Hashtbl.t;
-  mutable c_next_req : int;
-  mutable c_up : bool;
-  c_tracer : Trace.Sink.t;
-}
-
-let c_count c name = Stats.Counter.incr (Stats.Counter.Registry.counter c.c_counters name)
-let c_emit c ev = Trace.Sink.emit c.c_tracer (Time.to_sec (Clock.now c.c_clock)) ev
-let c_send c payload = Netsim.Net.send c.c_net ~src:c.c_host ~dst:c.c_server payload
-
-let rec c_arm_retry c rpc =
-  rpc.c_timer <-
-    Some
-      (Engine.schedule_after c.c_engine c.c_retry (fun () ->
-           if c.c_up && Hashtbl.mem c.c_rpcs rpc.c_req then begin
-             c_count c "retransmissions";
-             c_send c rpc.c_message;
-             c_arm_retry c rpc
-           end))
-
-let c_start_rpc c kind message ~req =
-  let rpc =
-    { c_req = req; c_started = Engine.now c.c_engine; c_kind = kind; c_message = message;
-      c_timer = None }
-  in
-  Hashtbl.replace c.c_rpcs req rpc;
-  c_send c message;
-  c_arm_retry c rpc
-
-let c_fresh c =
-  let r = c.c_next_req in
-  c.c_next_req <- c.c_next_req + 1;
-  r
-
-let c_finish c rpc =
-  (match rpc.c_timer with Some h -> Engine.cancel h | None -> ());
-  Hashtbl.remove c.c_rpcs rpc.c_req
-
-let client_read c file ~k =
-  if c.c_up then begin
-    let now = Clock.now c.c_clock in
-    match Hashtbl.find_opt c.c_cache file with
-    | Some entry when Time.(now < entry.expires) ->
-      c_count c "hits";
-      if Trace.Sink.enabled c.c_tracer then
-        c_emit c
-          (Trace.Event.Cache_hit
-             {
-               host = Host_id.to_int c.c_host;
-               file = File_id.to_int file;
-               version = Vstore.Version.to_int entry.version;
-               local_now = Time.to_sec now;
-             });
-      k ~latency_s:0. entry.version
-    | Some _ | None ->
-      c_count c "misses";
-      if Trace.Sink.enabled c.c_tracer then
-        c_emit c
-          (Trace.Event.Cache_miss { host = Host_id.to_int c.c_host; file = File_id.to_int file });
-      let req = c_fresh c in
-      let started = Engine.now c.c_engine in
-      let k version =
-        k ~latency_s:(Time.Span.to_sec (Time.diff (Engine.now c.c_engine) started)) version
-      in
-      c_start_rpc c (C_read { file; k }) (Fetch_request { req; file }) ~req
-  end
-
-let client_write c file ~k =
-  if c.c_up then begin
-    if Trace.Sink.enabled c.c_tracer && Hashtbl.mem c.c_cache file then
-      c_emit c
-        (Trace.Event.Cache_invalidate
-           { host = Host_id.to_int c.c_host; file = File_id.to_int file });
-    Hashtbl.remove c.c_cache file;
-    let req = c_fresh c in
-    let started = Engine.now c.c_engine in
-    let k version =
-      k ~latency_s:(Time.Span.to_sec (Time.diff (Engine.now c.c_engine) started)) version
-    in
-    c_start_rpc c (C_write { file; k }) (Write_request { req; file }) ~req
-  end
-
-let c_handle c (envelope : payload Netsim.Net.envelope) =
-  if c.c_up then begin
-    match envelope.payload with
-    | Fetch_reply { req; file; version; ttl } -> (
-      let expires = Time.add (Clock.now c.c_clock) ttl in
-      Hashtbl.replace c.c_cache file { version; expires };
-      (* A hint is traced as a client-side lease with the TTL horizon but
-         no matching server-side grant: the checker will then blame only
-         genuinely stale hits, not the server's (nonexistent) promise. *)
-      if Trace.Sink.enabled c.c_tracer then
-        c_emit c
-          (Trace.Event.Client_lease
-             {
-               host = Host_id.to_int c.c_host;
-               file = File_id.to_int file;
-               version = Vstore.Version.to_int version;
-               expiry = Some (Time.to_sec expires);
-               local_now = Time.to_sec (Clock.now c.c_clock);
-             });
-      match Hashtbl.find_opt c.c_rpcs req with
-      | Some ({ c_kind = C_read { file = rfile; k }; _ } as rpc) when File_id.equal file rfile ->
-        c_finish c rpc;
-        k version
-      | Some _ | None -> ())
-    | Write_reply { req; file; version } -> (
-      match Hashtbl.find_opt c.c_rpcs req with
-      | Some ({ c_kind = C_write { file = wfile; k }; _ } as rpc) when File_id.equal file wfile ->
-        c_finish c rpc;
-        (* Cache our own result, but only as a hint like anything else. *)
-        ignore version;
-        k version
-      | Some _ | None -> ())
-    | Fetch_request _ | Write_request _ -> ()
-  end
-
 let run setup ~trace =
-  if setup.n_clients < 1 then invalid_arg "Ttl_hints.run: need at least one client";
-  let w =
-    Leases.Harness.world ~who:"Ttl_hints.run" ~tracer:setup.tracer
-      ~classify:(fun p -> (Trace.Event.M_other (payload_name p), -1))
-      ~rng:(Prng.Splitmix.create ~seed:setup.seed) ~loss:setup.loss ~m_prop:setup.m_prop
-      ~m_proc:setup.m_proc ()
-  in
-  let engine = w.engine and net = w.net and liveness = w.liveness in
-  (* The layout carries no clocks, so clock faults do not reach this
-     baseline's client clocks; crashes and partitions do. *)
-  let layout = Leases.Harness.single_server ~n_clients:setup.n_clients in
-  let server_host = Leases.Harness.server_host 0 in
-  let store = w.store and oracle = w.oracle in
-  let server =
+  Unleased.run
     {
-      s_net = net;
-      s_host = server_host;
-      s_store = store;
-      s_engine = engine;
-      s_ttl = setup.ttl;
-      s_counters = Stats.Counter.Registry.create ();
-      s_applied = Hashtbl.create 256;
-      s_tracer = setup.tracer;
-      s_up = true;
+      Unleased.seed = setup.seed;
+      n_clients = setup.n_clients;
+      m_prop = setup.m_prop;
+      m_proc = setup.m_proc;
+      loss = setup.loss;
+      faults = setup.faults;
+      drain = setup.drain;
+      policy = Unleased.Ttl setup.ttl;
+      tracer = setup.tracer;
     }
-  in
-  Netsim.Net.register net server_host (s_handle server);
-  Host.Liveness.register liveness server_host
-    ~on_crash:(fun () ->
-      server.s_up <- false;
-      Hashtbl.reset server.s_applied)
-    ~on_recover:(fun () -> server.s_up <- true)
-    ();
-  let clients =
-    Array.init setup.n_clients (fun i ->
-        let c =
-          {
-            c_engine = engine;
-            c_clock = Clock.create engine ();
-            c_net = net;
-            c_host = Leases.Harness.client_host layout i;
-            c_server = server_host;
-            c_retry = Time.Span.of_sec 1.;
-            c_counters = Stats.Counter.Registry.create ();
-            c_cache = Hashtbl.create 128;
-            c_rpcs = Hashtbl.create 32;
-            c_next_req = 0;
-            c_up = true;
-            c_tracer = setup.tracer;
-          }
-        in
-        Netsim.Net.register net c.c_host (c_handle c);
-        Host.Liveness.register liveness c.c_host
-          ~on_crash:(fun () ->
-            c.c_up <- false;
-            Hashtbl.reset c.c_cache;
-            Hashtbl.iter
-              (fun _ rpc -> match rpc.c_timer with Some h -> Engine.cancel h | None -> ())
-              c.c_rpcs;
-            Hashtbl.reset c.c_rpcs)
-          ~on_recover:(fun () -> c.c_up <- true)
-          ();
-        c)
-  in
-  Leases.Harness.schedule_faults w layout setup.faults;
-  Leases.Harness.drive w ~n_clients:setup.n_clients (Workload.Trace.ops trace)
-    ~read:(fun op ->
-      let start = Engine.now engine in
-      client_read clients.(op.client) op.file ~k:(fun ~latency_s version ->
-          Leases.Harness.read_done w latency_s;
-          Oracle.Register_oracle.check_read oracle ~file:op.file ~version ~start
-            ~finish:(Engine.now engine)))
-    ~write:(fun op ->
-      client_write clients.(op.client) op.file ~k:(fun ~latency_s _version ->
-          Leases.Harness.write_done w latency_s));
-  Leases.Harness.run w ~until:(Leases.Harness.horizon trace ~drain:setup.drain);
-
-  let find registry name = Stats.Counter.Registry.find registry name in
-  let sum name = Array.fold_left (fun acc c -> acc + find c.c_counters name) 0 clients in
-  let ext = find server.s_counters "msgs/extension" in
-  let wtr = find server.s_counters "msgs/write-transfer" in
-  let metrics =
-    Leases.Harness.derive ~rtt_s:(Leases.Harness.rtt_s w)
-      {
-        (Leases.Harness.metrics w) with
-        cache_hits = sum "hits";
-        cache_misses = sum "misses";
-        msgs_extension = ext;
-        msgs_write_transfer = wtr;
-        consistency_msgs = ext;
-        server_total_msgs = ext + wtr;
-        commits = find server.s_counters "commits";
-        retransmissions = sum "retransmissions";
-      }
-  in
-  { Leases.Sim.metrics; oracle; store }
+    ~trace

@@ -1,6 +1,7 @@
 open Simtime
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
+module Rpc_table = Leases.Rpc_table
 
 type wconfig = {
   transit_allowance : Time.Span.t;
@@ -44,14 +45,6 @@ type rpc_kind =
   | R_acquire_write of { file : File_id.t; k : write_result -> unit }
   | R_flush of { file : File_id.t }
 
-type rpc = {
-  req : int;
-  started : Time.t;
-  kind : rpc_kind;
-  message : Wmessages.payload;
-  mutable timer : Engine.handle option;
-}
-
 type queued_op =
   | Q_read of (read_result -> unit)
   | Q_write of (write_result -> unit)
@@ -65,10 +58,9 @@ type t = {
   config : wconfig;
   counters : Stats.Counter.Registry.t;
   cache : (File_id.t, entry) Hashtbl.t;
-  rpcs : (int, rpc) Hashtbl.t;
+  rpcs : (rpc_kind, Wmessages.payload) Rpc_table.t;
   busy : (File_id.t, unit) Hashtbl.t;
   op_queue : (File_id.t, queued_op Queue.t) Hashtbl.t;
-  mutable next_req : int;
   mutable up : bool;
 }
 
@@ -87,36 +79,6 @@ let holds_lease t file =
 
 let dirty_writes t file =
   match Hashtbl.find_opt t.cache file with Some entry -> entry.dirty | None -> 0
-
-(* ------------------------------------------------------------------ *)
-(* RPC plumbing (same retransmission discipline as the core client)    *)
-
-let send_to_server t payload = Netsim.Net.send t.net ~src:t.host ~dst:t.server payload
-
-let rec arm_retry t rpc =
-  rpc.timer <-
-    Some
-      (Engine.schedule_after t.engine t.config.retry_interval (fun () ->
-           if t.up && Hashtbl.mem t.rpcs rpc.req then begin
-             bump t "retransmissions";
-             send_to_server t rpc.message;
-             arm_retry t rpc
-           end))
-
-let start_rpc t kind message ~req =
-  let rpc = { req; started = Engine.now t.engine; kind; message; timer = None } in
-  Hashtbl.replace t.rpcs req rpc;
-  send_to_server t message;
-  arm_retry t rpc
-
-let finish_rpc t rpc =
-  (match rpc.timer with Some h -> Engine.cancel h | None -> ());
-  Hashtbl.remove t.rpcs rpc.req
-
-let fresh_req t =
-  let req = t.next_req in
-  t.next_req <- t.next_req + 1;
-  req
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance                                                   *)
@@ -149,9 +111,9 @@ let client_expiry t ~term =
 let rec start_flush t file entry =
   if t.up && entry.flushing = None && entry.dirty > 0 then begin
     bump t "flushes-sent";
-    let req = fresh_req t in
+    let req = Rpc_table.fresh t.rpcs in
     entry.flushing <- Some (req, entry.dirty);
-    start_rpc t (R_flush { file })
+    Rpc_table.start t.rpcs (R_flush { file })
       (Wmessages.Flush_request { req; file; epoch = entry.epoch; local_writes = entry.dirty })
       ~req
   end
@@ -207,8 +169,8 @@ let rec read t file ~k =
          would lose the writes anyway, so count and drop them now *)
       drop_entry t file;
       Hashtbl.replace t.busy file ();
-      let req = fresh_req t in
-      start_rpc t
+      let req = Rpc_table.fresh t.rpcs in
+      Rpc_table.start t.rpcs
         (R_acquire_read { file; k })
         (Wmessages.Acquire_request { req; file; mode = Wmessages.Read_lease })
         ~req
@@ -230,8 +192,8 @@ and write t file ~k =
         ignore entry
       | Some _ | None -> drop_entry t file);
       Hashtbl.replace t.busy file ();
-      let req = fresh_req t in
-      start_rpc t
+      let req = Rpc_table.fresh t.rpcs in
+      Rpc_table.start t.rpcs
         (R_acquire_write { file; k })
         (Wmessages.Acquire_request { req; file; mode = Wmessages.Write_lease })
         ~req
@@ -274,52 +236,43 @@ let install_grant t file ~version ~mode ~term ~epoch =
 
 let answer_recall t file recall =
   bump t "recalls-answered";
-  send_to_server t (Wmessages.Recall_reply { recall; file })
+  Netsim.Net.send t.net ~src:t.host ~dst:t.server (Wmessages.Recall_reply { recall; file })
 
 let handle_message t (envelope : Wmessages.payload Netsim.Net.envelope) =
   if t.up then begin
     match envelope.payload with
     | Wmessages.Acquire_reply { req; file; version; granted } -> (
-      match Hashtbl.find_opt t.rpcs req, granted with
+      match Rpc_table.find t.rpcs req, granted with
       | Some ({ kind = R_acquire_read { file = rfile; k }; _ } as rpc), Some (mode, term, epoch)
         when File_id.equal file rfile ->
-        finish_rpc t rpc;
+        Rpc_table.finish t.rpcs rpc;
         ignore (install_grant t file ~version ~mode ~term ~epoch);
-        k
-          {
-            r_version = version;
-            r_latency = Time.diff (Engine.now t.engine) rpc.started;
-            r_from_cache = false;
-            r_dirty = false;
-          };
+        let r_latency = Time.diff (Engine.now t.engine) rpc.started in
+        k { r_version = version; r_latency; r_from_cache = false; r_dirty = false };
         release t file
       | Some ({ kind = R_acquire_write { file = wfile; k }; _ } as rpc), Some (mode, term, epoch)
         when File_id.equal file wfile ->
-        finish_rpc t rpc;
+        Rpc_table.finish t.rpcs rpc;
         let entry = install_grant t file ~version ~mode ~term ~epoch in
         entry.dirty <- 1;
         arm_flush_timer t file entry;
-        k
-          {
-            w_latency = Time.diff (Engine.now t.engine) rpc.started;
-            w_acquired_lease = true;
-          };
+        k { w_latency = Time.diff (Engine.now t.engine) rpc.started; w_acquired_lease = true };
         release t file
       | Some _, _ | None, _ -> ())
     | Wmessages.Flush_reply { req; file; accepted } -> (
-      match Hashtbl.find_opt t.rpcs req with
+      match Rpc_table.find t.rpcs req with
       | Some ({ kind = R_flush { file = ffile }; _ } as rpc) when File_id.equal file ffile -> (
-        finish_rpc t rpc;
+        Rpc_table.finish t.rpcs rpc;
+        (* Only the entry that sent this flush takes its reply: if that
+           entry expired and a newer grant replaced it, the reply's
+           version and term describe a lease the client no longer holds. *)
         match Hashtbl.find_opt t.cache file with
-        | Some entry -> (
-          let covered = match entry.flushing with Some (_, n) -> n | None -> 0 in
+        | Some ({ flushing = Some (flush_req, covered); _ } as entry) when flush_req = req -> (
           entry.flushing <- None;
           match accepted with
           | Some (version, renewed_term) ->
             entry.version <- version;
             entry.dirty <- Stdlib.max 0 (entry.dirty - covered);
-            if entry.pending_recall = None then
-              entry.expiry <- Time.max entry.expiry (client_expiry t ~term:renewed_term);
             (match entry.pending_recall with
             | Some recall ->
               if entry.dirty > 0 then start_flush t file entry
@@ -327,13 +280,15 @@ let handle_message t (envelope : Wmessages.payload Netsim.Net.envelope) =
                 answer_recall t file recall;
                 drop_entry t file
               end
-            | None -> if entry.dirty > 0 then arm_flush_timer t file entry)
+            | None ->
+              entry.expiry <- Time.max entry.expiry (client_expiry t ~term:renewed_term);
+              if entry.dirty > 0 then arm_flush_timer t file entry)
           | None ->
             (* stale epoch or expired lease: those writes are gone *)
             let recall = entry.pending_recall in
             drop_entry t file;
             (match recall with Some r -> answer_recall t file r | None -> ()))
-        | None -> ())
+        | Some _ | None -> ())
       | Some _ | None -> ())
     | Wmessages.Recall_request { recall; file } -> (
       match Hashtbl.find_opt t.cache file with
@@ -365,8 +320,7 @@ let on_crash t =
       cancel_flush_timer entry)
     t.cache;
   Hashtbl.reset t.cache;
-  Hashtbl.iter (fun _ rpc -> match rpc.timer with Some h -> Engine.cancel h | None -> ()) t.rpcs;
-  Hashtbl.reset t.rpcs;
+  Rpc_table.reset t.rpcs;
   Hashtbl.reset t.busy;
   Hashtbl.reset t.op_queue
 
@@ -381,10 +335,11 @@ let create ~engine ~clock ~net ~liveness ~host ~server ~config () =
       config;
       counters = Stats.Counter.Registry.create ();
       cache = Hashtbl.create 128;
-      rpcs = Hashtbl.create 32;
+      rpcs =
+        Rpc_table.create engine ~retry:config.retry_interval ~send:(fun payload ->
+            Netsim.Net.send net ~src:host ~dst:server payload);
       busy = Hashtbl.create 16;
       op_queue = Hashtbl.create 16;
-      next_req = 0;
       up = true;
     }
   in
@@ -402,4 +357,4 @@ let misses t = find t "misses"
 let flushes_sent t = find t "flushes-sent"
 let writes_lost t = find t "writes-lost"
 let recalls_answered t = find t "recalls-answered"
-let retransmissions t = find t "retransmissions"
+let retransmissions t = Rpc_table.retransmissions t.rpcs

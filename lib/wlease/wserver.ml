@@ -83,6 +83,12 @@ let conflicting t s ~src ~mode =
   | Wmessages.Read_lease ->
     Host_id.Map.filter (fun _ h -> h.h_mode = Wmessages.Write_lease) live
 
+(* A pending acquisition's timers die with it (grant or server crash), so
+   neither needs to check, when it fires, that its acquisition is still on. *)
+let cancel_timers p =
+  Option.iter Clock.cancel_timer p.p_expiry_timer;
+  Option.iter Engine.cancel p.p_retry_timer
+
 let rec grant t file (s : file_state) (w : waiter) =
   let now = local_now t in
   let expiry = Time.add now t.term in
@@ -135,14 +141,12 @@ and start_acquire t file (s : file_state) (w : waiter) =
     t.next_recall <- t.next_recall + 1;
     s.pending <- Some p;
     let fire () =
-      if t.up && (match s.pending with Some q -> q == p | None -> false) then begin
-        (* conflicting leases have expired on our clock: their holders are
-           out (and any unflushed writes of theirs are now unlandable,
-           because the epoch check will reject them) *)
-        Host_id.Set.iter (fun host -> s.holders <- Host_id.Map.remove host s.holders) p.p_waiting;
-        p.p_waiting <- Host_id.Set.empty;
-        finish_pending t s p
-      end
+      (* conflicting leases have expired on our clock: their holders are
+         out (and any unflushed writes of theirs are now unlandable,
+         because the epoch check will reject them) *)
+      Host_id.Set.iter (fun host -> s.holders <- Host_id.Map.remove host s.holders) p.p_waiting;
+      p.p_waiting <- Host_id.Set.empty;
+      finish_pending t s p
     in
     p.p_expiry_timer <- Some (Clock.schedule_at_local t.clock deadline fire);
     send_recalls t s p
@@ -153,20 +157,13 @@ and send_recalls t s p =
   if remaining <> [] then begin
     count t "recalls-sent";
     multicast t ~dsts:remaining (Wmessages.Recall_request { recall = p.recall_id; file = p.p_file });
-    (match p.p_retry_timer with Some h -> Engine.cancel h | None -> ());
     p.p_retry_timer <-
-      Some
-        (Engine.schedule_after t.engine t.retry_interval (fun () ->
-             if t.up
-                && (match s.pending with Some q -> q == p | None -> false)
-                && not (Host_id.Set.is_empty p.p_waiting)
-             then send_recalls t s p))
+      Some (Engine.schedule_after t.engine t.retry_interval (fun () -> send_recalls t s p))
   end
 
 and finish_pending t s p =
   if Host_id.Set.is_empty p.p_waiting then begin
-    (match p.p_expiry_timer with Some h -> Clock.cancel_timer h | None -> ());
-    (match p.p_retry_timer with Some h -> Engine.cancel h | None -> ());
+    cancel_timers p;
     s.pending <- None;
     grant t p.p_file s p.p_waiter
   end
@@ -184,11 +181,21 @@ let handle_acquire t ~src ~req file mode =
   else if s.pending <> None then Queue.push w s.queue
   else start_acquire t file s w
 
+(* What is left of [src]'s lease on our clock: the term a flush reply may
+   promise.  A flush renews only when no acquisition waits on the holder,
+   and a resent reply renews nothing, so the full term would overstate it. *)
+let remaining t s src =
+  match Host_id.Map.find_opt src s.holders with
+  | Some h -> Time.Span.clamp_non_negative (Time.diff h.h_expiry (local_now t))
+  | None -> Time.Span.zero
+
 let handle_flush t ~src ~req file epoch local_writes =
+  let s = state t file in
   match Hashtbl.find_opt t.applied_flushes (src, req) with
-  | Some accepted -> send t ~dst:src (Wmessages.Flush_reply { req; file; accepted })
+  | Some accepted ->
+    let accepted = Option.map (fun (version, _) -> (version, remaining t s src)) accepted in
+    send t ~dst:src (Wmessages.Flush_reply { req; file; accepted })
   | None ->
-    let s = state t file in
     let now = local_now t in
     let valid =
       match Host_id.Map.find_opt src s.holders with
@@ -219,11 +226,11 @@ let handle_flush t ~src ~req file epoch local_writes =
         count t "commits-batches";
         Stats.Counter.add (Stats.Counter.Registry.counter t.counters "commits") local_writes;
         renew ();
-        Some (!version, t.term)
+        Some (!version, remaining t s src)
       end
       else if valid then begin
         renew ();
-        Some (Vstore.Store.current t.store file, t.term)
+        Some (Vstore.Store.current t.store file, remaining t s src)
       end
       else begin
         count t "flushes-rejected";
@@ -264,11 +271,7 @@ let on_crash t =
   t.up <- false;
   Hashtbl.iter
     (fun _ s ->
-      (match s.pending with
-      | Some p ->
-        (match p.p_expiry_timer with Some h -> Clock.cancel_timer h | None -> ());
-        (match p.p_retry_timer with Some h -> Engine.cancel h | None -> ())
-      | None -> ());
+      Option.iter cancel_timers s.pending;
       s.pending <- None;
       Queue.clear s.queue;
       s.holders <- Host_id.Map.empty)

@@ -26,6 +26,14 @@ dune exec bin/simulate.exe -- -p leases -t 10 -n 4 -d 60 \
   --trace /tmp/leases_smoke.jsonl > /dev/null
 dune exec bin/tracedump.exe -- /tmp/leases_smoke.jsonl --check-only
 
+echo "== traced callback baseline + invariant checker =="
+# Without faults the callback baseline breaks every holder before a write
+# commits, so its trace (promises traced as infinite-term leases) must
+# replay through the same checker with zero violations.
+dune exec bin/simulate.exe -- -p callback -n 4 -d 60 \
+  --trace /tmp/callback_smoke.jsonl > /dev/null
+dune exec bin/tracedump.exe -- /tmp/callback_smoke.jsonl --check-only
+
 echo "== telemetry residual gate =="
 # A pinned steady-state no-fault run sampled every 30 s: the measured
 # consistency load past the 300 s cold-cache warm-up must agree with the

@@ -168,6 +168,94 @@ let test_ttl_zero_equivalence () =
     (long.Leases.Metrics.consistency_msgs < short.Leases.Metrics.consistency_msgs
     && long.Leases.Metrics.oracle_violations > 0)
 
+(* --- setup validation ---------------------------------------------------- *)
+
+(* A bad setup fails before the engine starts: with a zero poll period
+   the poll loop would reschedule itself at the same instant forever, and
+   a negative TTL would silently turn caching off. *)
+let test_bad_setups_rejected () =
+  let trace = v_trace 100. in
+  let callback setup () = ignore (Baselines.Callback.run setup ~trace) in
+  let cb = { Baselines.Callback.default_setup with Baselines.Callback.n_clients = 2 } in
+  Alcotest.check_raises "zero poll period"
+    (Invalid_argument "Callback.run: poll_period must be positive")
+    (callback { cb with poll_period = Time.Span.zero });
+  Alcotest.check_raises "negative poll period"
+    (Invalid_argument "Callback.run: poll_period must be positive")
+    (callback { cb with poll_period = span (-1.) });
+  Alcotest.check_raises "negative break timeout"
+    (Invalid_argument "Callback.run: break_timeout must not be negative")
+    (callback { cb with break_timeout = span (-1.) });
+  let ttl = { Baselines.Ttl_hints.default_setup with Baselines.Ttl_hints.n_clients = 2 } in
+  Alcotest.check_raises "negative ttl" (Invalid_argument "Ttl_hints.run: ttl must not be negative")
+    (fun () -> ignore (Baselines.Ttl_hints.run { ttl with ttl = span (-1.) } ~trace))
+
+(* --- goldens ------------------------------------------------------------- *)
+
+(* The metrics document and the digest of the encoded trace that a seeded
+   lossy run with crash-client, partition and crash-server faults produced
+   before the two baselines were merged onto one server and client
+   (committed as golden_baselines_*.json).  Any drift means the merge
+   changed what a baseline does, not just how it is written. *)
+
+let read_file path =
+  (* dune runtest runs in the test directory; a `dune exec` from the repo
+     root finds the goldens one level down *)
+  let path = if Sys.file_exists path then path else Filename.concat "test" path in
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let golden_faults () =
+  List.map
+    (fun spec ->
+      match Leases.Sim.fault_of_spec spec with
+      | Ok fault -> fault
+      | Error why -> Alcotest.failf "fault spec %S: %s" spec why)
+    [ "crash-client=1,40,15"; "partition=2+3,90,40"; "crash-server=150,6" ]
+
+let golden_document run =
+  let buf = Trace.Sink.buffer () in
+  let metrics = (run (Trace.Sink.buffer_sink buf)).Leases.Sim.metrics in
+  let lines = List.map Trace.Codec.encode (Trace.Sink.buffer_contents buf) in
+  Printf.sprintf "{\"metrics\":%s,\"trace_md5\":\"%s\"}" (Leases.Metrics.to_json metrics)
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+let check_golden name run =
+  Alcotest.(check string)
+    (name ^ " matches the pre-merge golden")
+    (String.trim (read_file ("golden_baselines_" ^ name ^ ".json")))
+    (golden_document run)
+
+let test_golden_callback () =
+  let trace = v_trace ~clients:4 300. in
+  check_golden "callback" (fun tracer ->
+      Baselines.Callback.run
+        {
+          Baselines.Callback.default_setup with
+          Baselines.Callback.seed = 3L;
+          n_clients = 4;
+          loss = 0.02;
+          faults = golden_faults ();
+          tracer;
+        }
+        ~trace)
+
+let test_golden_ttl () =
+  let trace = v_trace ~clients:4 300. in
+  check_golden "ttl" (fun tracer ->
+      Baselines.Ttl_hints.run
+        {
+          Baselines.Ttl_hints.default_setup with
+          Baselines.Ttl_hints.seed = 3L;
+          n_clients = 4;
+          loss = 0.02;
+          faults = golden_faults ();
+          tracer;
+        }
+        ~trace)
+
 (* --- the paper's two-axis comparison ------------------------------------ *)
 
 let test_leases_dominate () =
@@ -216,6 +304,12 @@ let () =
           Alcotest.test_case "stale within ttl" `Quick test_ttl_stale_within_ttl;
           Alcotest.test_case "writes never wait" `Quick test_ttl_writes_never_wait;
           Alcotest.test_case "ttl shrinks to check-on-use" `Quick test_ttl_zero_equivalence;
+        ] );
+      ( "setup",
+        [
+          Alcotest.test_case "bad setups rejected" `Quick test_bad_setups_rejected;
+          Alcotest.test_case "golden: callbacks unchanged" `Quick test_golden_callback;
+          Alcotest.test_case "golden: ttl unchanged" `Quick test_golden_ttl;
         ] );
       ( "comparison",
         [ Alcotest.test_case "leases dominate" `Slow test_leases_dominate ] );

@@ -167,6 +167,135 @@ let test_grant_waits_out_unreachable_writer () =
     Alcotest.(check bool) "bounded by the residual term" true (wait > 7. && wait <= 10.5)
   | None -> Alcotest.fail "write never completed"
 
+(* --- scripted peers ---------------------------------------------------- *)
+
+(* One side of the protocol is real, the other is the test: every message
+   the real side sends lands in [inbox] (newest first), and [send] puts a
+   hand-made message on the wire, so a test can lose a reply or deliver it
+   late at will. *)
+module Msg = Wlease.Wmessages
+
+type peer = {
+  p_engine : Engine.t;
+  p_net : Msg.payload Netsim.Net.t;
+  inbox : Msg.payload list ref;
+}
+
+let make_peer ~scripted =
+  let engine = Engine.create () in
+  let liveness = Host.Liveness.create () in
+  let net =
+    Netsim.Net.create engine ~liveness ~prop_delay:(Time.Span.of_ms 0.5)
+      ~proc_delay:(Time.Span.of_ms 1.) ()
+  in
+  let inbox = ref [] in
+  let record (env : Msg.payload Netsim.Net.envelope) = inbox := env.payload :: !inbox in
+  List.iter (fun host -> Netsim.Net.register net host record) scripted;
+  ({ p_engine = engine; p_net = net; inbox }, liveness)
+
+let send peer ~src ~dst payload = Netsim.Net.send peer.p_net ~src ~dst payload
+
+let latest peer pick =
+  match List.find_map pick !(peer.inbox) with
+  | Some req -> req
+  | None -> Alcotest.fail "expected message never arrived"
+
+let test_late_flush_reply_ignored () =
+  (* A recalled writer's flush goes unanswered until its write lease has
+     expired and a read grant carrying a newer version has replaced the
+     entry.  The late flush reply describes the dead write lease: taking
+     it would roll the cached copy back to the flushed version and serve
+     that stale version as a clean hit. *)
+  let server = Host.Host_id.of_int 0 and host = Host.Host_id.of_int 1 in
+  let peer, liveness = make_peer ~scripted:[ server ] in
+  let client =
+    Wlease.Wclient.create ~engine:peer.p_engine ~clock:(Clock.create peer.p_engine ())
+      ~net:peer.p_net ~liveness ~host ~server ~config:Wlease.Wclient.default_wconfig ()
+  in
+  let f = file 0 and version = Vstore.Version.of_int in
+  let reply payload = send peer ~src:server ~dst:host payload in
+  let acquire_req () =
+    latest peer (function Msg.Acquire_request { req; _ } -> Some req | _ -> None)
+  in
+  let grant mode v =
+    let granted = Some (mode, span 10., 1) in
+    reply (Msg.Acquire_reply { req = acquire_req (); file = f; version = version v; granted })
+  in
+  let hit = ref None in
+  let at t action = ignore (Engine.schedule_at peer.p_engine (sec t) action) in
+  at 1. (fun () -> Wlease.Wclient.write client f ~k:(fun _ -> ()));
+  at 1.1 (fun () -> grant Msg.Write_lease 0);
+  at 2. (fun () -> reply (Msg.Recall_request { recall = 0; file = f }));
+  (* the write lease runs out near t = 11 with its flush unanswered *)
+  at 12. (fun () -> Wlease.Wclient.read client f ~k:(fun _ -> ()));
+  at 12.1 (fun () -> grant Msg.Read_lease 2);
+  at 12.5 (fun () ->
+      let req =
+        latest peer (function Msg.Flush_request { req; _ } -> Some req | _ -> None)
+      in
+      reply (Msg.Flush_reply { req; file = f; accepted = Some (version 1, span 10.) }));
+  at 13. (fun () -> Wlease.Wclient.read client f ~k:(fun r -> hit := Some r));
+  Engine.run ~until:(sec 14.) peer.p_engine;
+  match !hit with
+  | Some r ->
+    Alcotest.(check bool) "served from the read lease" true r.Wlease.Wclient.r_from_cache;
+    Alcotest.(check int) "the read grant's version, not the flushed one" 2
+      (Vstore.Version.to_int r.Wlease.Wclient.r_version)
+  | None -> Alcotest.fail "read never completed"
+
+let test_flush_reply_promises_only_remaining_term () =
+  (* A flush renews the writer's lease unless an acquisition is already
+     waiting on it, and a reply resent for a duplicate flush renews
+     nothing.  Either way the reply must promise only what is left of the
+     lease on the server's clock: with the full term, the writer would
+     keep serving clean reads after the server has granted the file to
+     the waiting acquirer. *)
+  let server_host = Host.Host_id.of_int 0 in
+  let writer = Host.Host_id.of_int 1 and rival = Host.Host_id.of_int 2 in
+  let peer, liveness = make_peer ~scripted:[ writer; rival ] in
+  let store = Vstore.Store.create () in
+  ignore
+    (Wlease.Wserver.create ~engine:peer.p_engine ~clock:(Clock.create peer.p_engine ())
+       ~net:peer.p_net ~liveness ~host:server_host ~store ~term:(span 10.) ());
+  let f = file 0 in
+  let at t action = ignore (Engine.schedule_at peer.p_engine (sec t) action) in
+  let to_server src payload = send peer ~src ~dst:server_host payload in
+  let acquire src =
+    to_server src (Msg.Acquire_request { req = 0; file = f; mode = Msg.Write_lease })
+  in
+  let epoch () =
+    latest peer (function
+      | Msg.Acquire_reply { granted = Some (_, _, epoch); _ } -> Some epoch
+      | _ -> None)
+  in
+  let flush req =
+    to_server writer (Msg.Flush_request { req; file = f; epoch = epoch (); local_writes = 1 })
+  in
+  let promised () =
+    latest peer (function
+      | Msg.Flush_reply { accepted = Some (_, term); _ } -> Some (Time.Span.to_sec term)
+      | _ -> None)
+  in
+  let terms = ref [] in
+  let note () = terms := promised () :: !terms in
+  (* granted at 1.0015 (server clock), so the lease ends at 11.0015 *)
+  at 1. (fun () -> acquire writer);
+  at 2. (fun () -> flush 1);
+  at 2.5 note;
+  (* the renewal at 2.0015 moved the end to 12.0015; the rival now waits *)
+  at 3. (fun () -> acquire rival);
+  at 4. (fun () -> flush 2);
+  at 4.5 note;
+  at 5. (fun () -> flush 2);
+  at 5.5 note;
+  Engine.run ~until:(sec 6.) peer.p_engine;
+  match List.rev !terms with
+  | [ renewed; waited_on; resent ] ->
+    Alcotest.(check (float 1e-6)) "no waiter: a full renewed term" 10. renewed;
+    Alcotest.(check (float 1e-6)) "waiter: only the rest of the lease" 8. waited_on;
+    Alcotest.(check (float 1e-6)) "resent reply: the rest, a second later" 7. resent
+  | _ -> Alcotest.fail "expected three flush replies"
+
 let test_end_to_end_consistent () =
   let clients = 3 in
   let trace =
@@ -251,6 +380,9 @@ let () =
           Alcotest.test_case "stale flush rejected" `Quick test_stale_flush_rejected;
           Alcotest.test_case "grant waits out unreachable writer" `Quick
             test_grant_waits_out_unreachable_writer;
+          Alcotest.test_case "late flush reply ignored" `Quick test_late_flush_reply_ignored;
+          Alcotest.test_case "flush reply promises only the remaining term" `Quick
+            test_flush_reply_promises_only_remaining_term;
         ] );
       ( "end-to-end",
         [
