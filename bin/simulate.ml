@@ -113,11 +113,10 @@ let finish_profile recorder ~profile_out ~profile_format ~json =
     close_out oc);
   if not json then print_string (Profile.Report.hotspot_table report)
 
-(* --shards N runs the multi-server deployment: per-shard loads after the
-   aggregate metrics, and per-shard residual summaries when telemetry is
-   on.  --domains K switches to the split deployment (one sub-simulation
-   per shard, up to K of them on parallel OCaml domains) and additionally
-   allows --profile, recording each shard's engine separately. *)
+(* --shards N runs the sharded deployment, one sub-simulation per shard,
+   up to --domains of them on parallel OCaml domains: per-shard loads
+   after the aggregate metrics, per-shard residual summaries when
+   telemetry is on, and one profile per shard with --profile. *)
 let print_shard_loads per_shard =
   Array.iter
     (fun sl ->
@@ -175,7 +174,7 @@ let finish_shard_profiles profilers ~profile_out ~profile_format ~json =
       profilers
 
 let run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~faults ~tracer
-    ~telemetry_s ~analyzer ~json ~trace ~profile ~profile_out ~profile_format =
+    ~telemetry_s ~json ~trace ~profile ~profile_out ~profile_format =
   let base = Experiments.Runner.lease_setup ~n_clients:clients ~m_prop ~m_proc ~term () in
   let profilers =
     if profile then
@@ -197,30 +196,18 @@ let run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~fau
       faults;
       tracer;
       telemetry_interval_s = telemetry_s;
-      latency = analyzer;
       profilers;
     }
   in
-  match domains with
-  | None ->
-    let outcome = Shard.Deploy.run setup ~trace in
-    let print_extra () =
-      if not json then begin
-        print_shard_loads outcome.Shard.Deploy.per_shard;
-        Option.iter print_shard_telemetry (Shard.Deploy.telemetry_report setup outcome)
-      end
-    in
-    (outcome.Shard.Deploy.metrics, print_extra)
-  | Some domains ->
-    let outcome = Shard.Deploy.run_split ~domains setup ~trace in
-    let print_extra () =
-      if not json then begin
-        print_shard_loads outcome.Shard.Deploy.sp_per_shard;
-        Option.iter print_shard_telemetry (Shard.Deploy.split_telemetry_report setup outcome)
-      end;
-      if profile then finish_shard_profiles profilers ~profile_out ~profile_format ~json
-    in
-    (outcome.Shard.Deploy.sp_metrics, print_extra)
+  let outcome = Shard.Deploy.run_split ~domains setup ~trace in
+  let print_extra () =
+    if not json then begin
+      print_shard_loads outcome.Shard.Deploy.sp_per_shard;
+      Option.iter print_shard_telemetry (Shard.Deploy.split_telemetry_report setup outcome)
+    end;
+    if profile then finish_shard_profiles profilers ~profile_out ~profile_format ~json
+  in
+  (outcome.Shard.Deploy.sp_metrics, print_extra)
 
 let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file json trace_out
     trace_format fault_specs telemetry_s telemetry_out telemetry_format shards domains profile
@@ -228,11 +215,11 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
   try
     let faults = List.map parse_fault fault_specs in
     if shards < 1 then failwith "--shards must be at least 1";
-    (match domains with
-    | Some d when d < 1 -> failwith "--domains must be at least 1"
-    | Some _ when shards < 2 ->
-      failwith "--domains runs each shard as its own sub-simulation; it needs --shards at least 2"
-    | _ -> ());
+    if shards > Trace.Op_id.max_shards then
+      failwith
+        (Printf.sprintf "--shards must be at most %d (the request-id layout's shard field)"
+           Trace.Op_id.max_shards);
+    if domains < 1 then failwith "--domains must be at least 1";
     if latency_out <> None && not latency then failwith "--latency-out requires --latency";
     if latency_k < 1 then failwith "--latency-k must be at least 1";
     if latency && protocol <> "leases" then
@@ -251,10 +238,6 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
         (Printf.sprintf
            "--profile instruments the lease protocol's engine; protocol %S does not expose it"
            protocol);
-    if profile && shards > 1 && domains = None then
-      failwith
-        "--profile records the single-server engine; with --shards it needs --domains (one \
-         recorder per shard sub-simulation)";
     if shards > 1 && telemetry_out <> None then
       failwith
         "--telemetry-out writes a single-server report; with --shards use the printed per-shard \
@@ -293,7 +276,7 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
     let metrics, print_extra =
       if shards > 1 then
         run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~faults ~tracer
-          ~telemetry_s ~analyzer ~json ~trace ~profile ~profile_out ~profile_format
+          ~telemetry_s ~json ~trace ~profile ~profile_out ~profile_format
       else
         ( run_single ~protocol ~term ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
             ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile
@@ -451,28 +434,28 @@ let telemetry_format =
 let shards =
   Arg.(value & opt int 1
        & info [ "shards" ] ~docv:"N"
-           ~doc:"Partition the file namespace across $(docv) independent lease servers \
-                 (consistent hashing; servers are hosts 0..N-1) and route every client \
-                 operation to the owning shard.  Leases protocol only.  Adds crash-shard=\
-                 SHARD,AT,DUR to the --fault vocabulary and prints per-shard load lines \
-                 after the aggregate metrics.")
+           ~doc:"Partition the file namespace across $(docv) (at most 64) independent lease \
+                 servers (consistent hashing; servers are hosts 0..N-1) and run each shard \
+                 as its own sub-simulation of the clients' operations on its files.  Leases \
+                 protocol only.  Adds crash-shard=SHARD,AT,DUR to the --fault vocabulary and \
+                 prints per-shard load lines after the aggregate metrics.")
 
 let domains =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt int 1
        & info [ "domains" ] ~docv:"K"
-           ~doc:"With --shards: run each shard as a self-contained sub-simulation, up to \
-                 $(docv) of them concurrently on OCaml domains, and merge the results \
+           ~doc:"With --shards: run up to $(docv) of the per-shard sub-simulations \
+                 concurrently on OCaml domains.  Only the speed changes: the results merge \
                  deterministically (metrics summed, histograms merged, traces interleaved by \
-                 timestamp).  --domains 1 runs the same sub-simulations sequentially and \
-                 produces bit-identical output to any other domain count.")
+                 timestamp), so every domain count produces bit-identical output.")
 
 let profile =
   Arg.(value & flag
        & info [ "profile" ]
-           ~doc:"Self-profile the run (leases protocol, single server): attribute wall time and \
-                 GC allocation to per-subsystem cost centers and sample engine health (queue \
-                 depth, live/occupied slots, cancel ratio, events per sim-second) on the \
-                 telemetry cadence.  Prints a hotspot table; see leases-profile-view.")
+           ~doc:"Self-profile the run (leases protocol; with --shards, one recorder per \
+                 shard): attribute wall time and GC allocation to per-subsystem cost \
+                 centers and sample engine health (queue depth, live/occupied slots, cancel \
+                 ratio, events per sim-second) on the telemetry cadence.  Prints a hotspot \
+                 table; see leases-profile-view.")
 
 let profile_out =
   Arg.(value & opt (some string) None

@@ -36,8 +36,9 @@ let worst_write_of events =
   | [] -> None
 
 (* Classification and reporting shared by the single-server and sharded
-   paths once each has produced metrics, a checker report and an oracle. *)
-let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) ~oracle
+   paths once each has produced metrics, a checker report and the oracle's
+   first stale read. *)
+let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) ~stale
     ~telemetry ~worst_write =
   let oracle_violations = m.Leases.Metrics.oracle_violations in
   let checker_violations = List.length report.Trace.Checker.violations in
@@ -49,7 +50,7 @@ let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) 
         (fun (file, version, at) ->
           Format.asprintf "oracle: stale read of file %d v%d completed at %a"
             (Vstore.File_id.to_int file) (Vstore.Version.to_int version) Simtime.Time.pp at)
-        (Oracle.Register_oracle.first_violation oracle)
+        stale
   in
   let classification =
     if oracle_violations > 0 || checker_violations > 0 then Safety
@@ -90,10 +91,11 @@ let run_single schedule =
   in
   let events = Trace.Sink.buffer_contents buf in
   let report = Trace.Checker.check ~server:0 events in
-  conclude ~schedule ~m:outcome.Leases.Sim.metrics ~report ~oracle:outcome.Leases.Sim.oracle
+  conclude ~schedule ~m:outcome.Leases.Sim.metrics ~report
+    ~stale:(Oracle.Register_oracle.first_violation outcome.Leases.Sim.oracle)
     ~telemetry ~worst_write:(worst_write_of events)
 
-let run_sharded schedule =
+let run_sharded ~domains schedule =
   let trace = Schedule.trace schedule in
   let buf = Trace.Sink.buffer () in
   let setup = Schedule.deploy_setup ~tracer:(Trace.Sink.buffer_sink buf) schedule in
@@ -104,13 +106,13 @@ let run_sharded schedule =
         Some (telemetry_interval_s schedule.Schedule.duration_s);
     }
   in
-  let outcome = Shard.Deploy.run setup ~trace in
+  let outcome = Shard.Deploy.run_split ~domains setup ~trace in
   (* Pool every shard's windows into one summary: each window is judged
      against its own shard's predicted load, so the pooled worst/steady
      residuals flag whichever shard diverges. *)
   let telemetry =
     let params = Shard.Deploy.residual_params setup in
-    let reports = Option.get (Shard.Deploy.telemetry_report setup outcome) in
+    let reports = Option.get (Shard.Deploy.split_telemetry_report setup outcome) in
     Telemetry.Residual.summarize params
       (List.concat_map
          (fun r -> r.Shard.Shard_telemetry.sr_evals)
@@ -121,14 +123,25 @@ let run_sharded schedule =
     Trace.Checker.check
       ~servers:(Shard.Deploy.server_hosts setup)
       ~owner:(fun f ->
-        Shard.Shard_map.owner outcome.Shard.Deploy.map (Vstore.File_id.of_int f))
+        Shard.Shard_map.owner outcome.Shard.Deploy.sp_map (Vstore.File_id.of_int f))
       events
   in
-  conclude ~schedule ~m:outcome.Shard.Deploy.metrics ~report ~oracle:outcome.Shard.Deploy.oracle
+  (* each part's oracle watches its own shard; the earliest stale read
+     wins, the lower shard on a tie *)
+  let stale =
+    Array.fold_left
+      (fun first (p : Shard.Deploy.part) ->
+        match (first, Oracle.Register_oracle.first_violation p.Shard.Deploy.p_oracle) with
+        | Some (_, _, t0), Some (_, _, t1) when Simtime.Time.(t1 >= t0) -> first
+        | _, None -> first
+        | _, later -> later)
+      None outcome.Shard.Deploy.sp_parts
+  in
+  conclude ~schedule ~m:outcome.Shard.Deploy.sp_metrics ~report ~stale
     ~telemetry ~worst_write:(worst_write_of events)
 
-let run schedule =
-  if schedule.Schedule.n_shards > 1 then run_sharded schedule else run_single schedule
+let run ?(domains = 2) schedule =
+  if schedule.Schedule.n_shards > 1 then run_sharded ~domains schedule else run_single schedule
 
 let to_json o =
   Trace.Json.Obj

@@ -31,9 +31,11 @@ val classification_name : classification -> string
 val telemetry_interval_s : float -> float
 (** The sampling interval used for a schedule of the given duration. *)
 
-val run : Schedule.t -> outcome
-(** Runs {!Schedule.trace} through [Sim.run] with the register oracle, an
-    in-memory trace buffer feeding {!Trace.Checker.check}, and a telemetry
-    sampler evaluating the Section 3.1 residuals per window. *)
+val run : ?domains:int -> Schedule.t -> outcome
+(** Runs {!Schedule.trace} through [Sim.run] — or, for a sharded schedule,
+    [Shard.Deploy.run_split] on up to [domains] (default 2) OCaml domains —
+    with the register oracle, an in-memory trace buffer feeding
+    {!Trace.Checker.check}, and a telemetry sampler evaluating the Section
+    3.1 residuals per window.  The outcome does not depend on [domains]. *)
 
 val to_json : outcome -> Trace.Json.t

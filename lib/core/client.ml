@@ -26,7 +26,6 @@ type rpc = {
   started : Time.t;  (** engine time *)
   kind : rpc_kind;
   message : Messages.payload;  (** retransmitted verbatim *)
-  dst : Host_id.t;  (** the server this RPC targets (fixed for its lifetime) *)
   mutable tries : int;  (** retransmissions so far; drives the backoff *)
   mutable timer : Engine.handle option;
 }
@@ -44,9 +43,7 @@ type t = {
   clock : Clock.t;
   net : Messages.payload Netsim.Net.t;
   host : Host_id.t;
-  route : File_id.t -> Host_id.t;
-      (** file -> owning server host; constant [server] outside sharded
-          deployments *)
+  server : Host_id.t;
   rng : Prng.Splitmix.t option;  (** retransmission jitter; [None] = no jitter *)
   config : Config.t;
   counters : Stats.Counter.Registry.t;
@@ -71,8 +68,7 @@ type t = {
           on the reply path beats hashing the request id. *)
   busy : (File_id.t, unit) Hashtbl.t;  (** files with a primary RPC in flight *)
   op_queue : (File_id.t, queued_op Queue.t) Hashtbl.t;
-  renewals_in_flight : (Host_id.t, unit) Hashtbl.t;
-      (** servers with an anticipatory extension outstanding *)
+  mutable renewal_in_flight : bool;  (** an anticipatory extension is outstanding *)
   mutable next_req : int;
   mutable evict_next : Time.t;
       (** lower bound on the earliest local expiry among cached entries
@@ -123,7 +119,7 @@ let queued_ops t = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.op_queue
 (* ------------------------------------------------------------------ *)
 (* RPC plumbing                                                        *)
 
-let send_to t ~dst payload = Netsim.Net.send t.net ~src:t.host ~dst payload
+let send t payload = Netsim.Net.send t.net ~src:t.host ~dst:t.server payload
 
 (* Exponential backoff with jitter.  The k-th retransmission waits
    [retry_interval * 2^k] capped at [retry_max_interval]; when the client
@@ -145,13 +141,13 @@ let rec arm_retry t rpc =
     if t.up && List.memq rpc t.rpcs then begin
       Stats.Counter.incr t.c_retransmissions;
       rpc.tries <- rpc.tries + 1;
-      send_to t ~dst:rpc.dst rpc.message;
+      send t rpc.message;
       arm_retry t rpc
     end
   in
   rpc.timer <- Some (Engine.schedule_after t.engine (retry_delay t rpc) fire)
 
-let start_rpc t ~dst kind message =
+let start_rpc t kind message =
   let req =
     match message with
     | Messages.Read_request { req; _ } | Messages.Extend_request { req; _ }
@@ -161,9 +157,9 @@ let start_rpc t ~dst kind message =
     | Messages.Approval_request _ | Messages.Approval_reply _ | Messages.Installed_refresh _ ->
       invalid_arg "Client.start_rpc: not a request"
   in
-  let rpc = { req; started = Engine.now t.engine; kind; message; dst; tries = 0; timer = None } in
+  let rpc = { req; started = Engine.now t.engine; kind; message; tries = 0; timer = None } in
   t.rpcs <- rpc :: t.rpcs;
-  send_to t ~dst message;
+  send t message;
   arm_retry t rpc
 
 let finish_rpc t rpc =
@@ -290,35 +286,19 @@ let cached_files t =
     t.files_sorted <- Some files;
     files
 
-(* Renew every held lease in one batched extension per owning server with
-   no waiting read — the anticipatory option of Section 4.  One renewal
-   covers every cached file routed to that server, so when many per-entry
-   timers fire at the same instant only the first sends; the reply re-arms
-   them all.  The in-flight guard is per server: a slow shard must not
-   starve renewals toward the others. *)
+(* Renew every held lease in one batched extension with no waiting read —
+   the anticipatory option of Section 4.  One renewal covers every cached
+   file, so when many per-entry timers fire at the same instant only the
+   first sends; the reply re-arms them all. *)
 let rec send_renewal t =
   profile_mark t Profile.Center.Client_renewal;
-  if t.up then begin
-    let groups = Hashtbl.create 4 in
-    let order = ref [] in
-    List.iter
-      (fun file ->
-        let dst = t.route file in
-        match Hashtbl.find_opt groups dst with
-        | Some files -> Hashtbl.replace groups dst (file :: files)
-        | None ->
-          order := dst :: !order;
-          Hashtbl.replace groups dst [ file ])
-      (cached_files t);
-    List.iter
-      (fun dst ->
-        if not (Hashtbl.mem t.renewals_in_flight dst) then begin
-          Stats.Counter.incr t.c_renewals_sent;
-          Hashtbl.replace t.renewals_in_flight dst ();
-          let files = List.rev (Hashtbl.find groups dst) in
-          start_rpc t ~dst Rpc_renewal (Messages.Extend_request { req = fresh_req t; files })
-        end)
-      (List.rev !order)
+  if t.up && not t.renewal_in_flight then begin
+    match cached_files t with
+    | [] -> ()
+    | files ->
+      Stats.Counter.incr t.c_renewals_sent;
+      t.renewal_in_flight <- true;
+      start_rpc t Rpc_renewal (Messages.Extend_request { req = fresh_req t; files })
   end
 
 and arm_renewal t file entry =
@@ -418,7 +398,6 @@ let rec read t file ~k =
         emit t
           (Trace.Event.Cache_miss { host = Host_id.to_int t.host; file = File_id.to_int file });
       Hashtbl.replace t.busy file ();
-      let dst = t.route file in
       let req = fresh_req t in
       let message =
         match t.config.Config.batch_extension_limit with
@@ -427,13 +406,7 @@ let rec read t file ~k =
              sorting) a candidate list that would only be thrown away. *)
           Messages.Read_request { req; file }
         | limit when t.config.batch_extensions -> begin
-          (* Piggyback renewals only for files the same server owns: a
-             batched extension is one RPC to one host. *)
-          let others =
-            List.filter
-              (fun f -> (not (File_id.equal f file)) && Host_id.equal (t.route f) dst)
-              (cached_files t)
-          in
+          let others = List.filter (fun f -> not (File_id.equal f file)) (cached_files t) in
           let others =
             (* Cap the piggyback list: a client caching F files otherwise
                makes every miss carry O(F) renewal work to the server.
@@ -465,7 +438,7 @@ let rec read t file ~k =
         end
         | Some _ | None -> Messages.Read_request { req; file }
       in
-      start_rpc t ~dst (Rpc_read { file; k }) message
+      start_rpc t (Rpc_read { file; k }) message
   end
 
 and write t file ~k =
@@ -479,7 +452,7 @@ and write t file ~k =
     invalidate t file;
     Hashtbl.replace t.busy file ();
     let req = fresh_req t in
-    start_rpc t ~dst:(t.route file) (Rpc_write { file; k }) (Messages.Write_request { req; file })
+    start_rpc t (Rpc_write { file; k }) (Messages.Write_request { req; file })
   end
 
 (* The in-flight operation on [file] finished: unblock the queue.  Queued
@@ -528,10 +501,10 @@ let complete_read t rpc (granted : Messages.grant_line list) =
          protocol staleness — so re-issue the read instead.  The file stays
          busy, so queued operations keep their order. *)
       Stats.Counter.incr t.c_fallback_reads;
-      start_rpc t ~dst:rpc.dst (Rpc_read { file; k })
+      start_rpc t (Rpc_read { file; k })
         (Messages.Read_request { req = fresh_req t; file }))
   | Rpc_renewal ->
-    Hashtbl.remove t.renewals_in_flight rpc.dst;
+    t.renewal_in_flight <- false;
     finish_rpc t rpc
   | Rpc_write _ -> ()
 
@@ -566,9 +539,7 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
     | Messages.Approval_request { write; file } ->
       Stats.Counter.incr t.c_approvals_answered;
       invalidate t file;
-      (* Reply to whichever server asked — under sharding that is the
-         file's owner, not necessarily our default server. *)
-      send_to t ~dst:envelope.src (Messages.Approval_reply { write; file })
+      send t (Messages.Approval_reply { write; file })
     | Messages.Installed_refresh { covered; term } ->
       let now = local_now t in
       List.iter
@@ -608,15 +579,14 @@ let on_crash t =
   t.rpcs <- [];
   Hashtbl.reset t.busy;
   Hashtbl.reset t.op_queue;
-  Hashtbl.reset t.renewals_in_flight;
+  t.renewal_in_flight <- false;
   t.evict_next <- horizon
 
 let on_recover t = t.up <- true
 
-let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
-    ?(tracer = Trace.Sink.null) ?req_origin () =
+let create ~engine ~clock ~net ~liveness ~host ~server ?rng ~config ?(tracer = Trace.Sink.null)
+    ?req_origin () =
   Config.validate config;
-  let route = match route with Some r -> r | None -> fun _ -> server in
   let counters = Stats.Counter.Registry.create () in
   let t =
     {
@@ -624,7 +594,7 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
       clock;
       net;
       host;
-      route;
+      server;
       rng;
       config;
       counters;
@@ -641,19 +611,15 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
       rpcs = [];
       busy = Hashtbl.create 8;
       op_queue = Hashtbl.create 8;
-      renewals_in_flight = Hashtbl.create 4;
-      (* Request ids are globally unique, not merely per-client: the host
-         index occupies the high bits, the per-client sequence the low 32,
-         so a req doubles as the operation's correlation id in traces and
-         never collides across clients or shards.  No randomness involved —
-         seeded PRNG streams are untouched.  [req_origin] overrides the
-         counter's starting point for deployments that instantiate the
-         same client host in several sub-simulations and merge their
-         traces. *)
+      renewal_in_flight = false;
+      (* Request ids are globally unique, not merely per-client (see
+         [Trace.Op_id]), so a req doubles as the operation's correlation id
+         in traces.  No randomness involved — seeded PRNG streams are
+         untouched. *)
       next_req =
         (match req_origin with
         | Some origin -> origin
-        | None -> Host.Host_id.to_int host lsl 32);
+        | None -> Trace.Op_id.origin ~host:(Host_id.to_int host) ~shard:0);
       evict_next = horizon;
       up = true;
     }

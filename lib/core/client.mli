@@ -20,26 +20,23 @@ val create :
   liveness:Host.Liveness.t ->
   host:Host.Host_id.t ->
   server:Host.Host_id.t ->
-  ?route:(Vstore.File_id.t -> Host.Host_id.t) ->
   ?rng:Prng.Splitmix.t ->
   config:Config.t ->
   ?tracer:Trace.Sink.t ->
   ?req_origin:int ->
   unit ->
   t
-(** [route] maps each file to the host of the server that owns it
-    (default: the constant [server]); every RPC, approval reply and
-    batched extension targets the owning server, with retry and renewal
-    state kept per server.  [rng] jitters the exponential retransmission
+(** Every RPC, approval reply and batched extension goes to [server].
+    [rng] jitters the exponential retransmission
     backoff (each retry waits [retry_interval * 2^k] capped at
     [retry_max_interval], scaled by a uniform factor in [0.5, 1.5));
     without it the backoff is deterministic and unjittered.  [tracer]
     receives the client-side protocol events (cache hits, misses and
     invalidations, local lease records); disabled by default.
     [req_origin] seeds the request-id counter (default
-    [host lsl 32]) — a deployment that instantiates the same client host
-    in several sub-simulations gives each instance a distinct origin so
-    correlation ids stay unique in the merged trace. *)
+    [Trace.Op_id.origin ~host ~shard:0]) — a deployment that instantiates
+    the same client host in several sub-simulations gives each instance a
+    distinct origin so correlation ids stay unique in the merged trace. *)
 
 val host : t -> Host.Host_id.t
 val clock : t -> Clock.t

@@ -59,6 +59,30 @@ let fault_to_spec = function
 
 let pp_fault ppf fault = Format.pp_print_string ppf (fault_to_spec fault)
 
+(* Plain decimal notation: an optional sign, digits with an optional
+   fraction, an optional exponent.  [float_of_string] alone also reads
+   OCaml literal syntax — [1_], [0x1p4], [nan], [infinity] — which a spec
+   must reject rather than silently reinterpret. *)
+let is_decimal s =
+  let n = String.length s in
+  let i = ref 0 in
+  let sign () = if !i < n && (s.[!i] = '-' || s.[!i] = '+') then incr i in
+  let digits () =
+    let start = !i in
+    while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do
+      incr i
+    done;
+    !i > start
+  in
+  sign ();
+  let whole = digits () in
+  let fraction = !i < n && s.[!i] = '.' && (incr i; digits ()) in
+  let exponent_ok =
+    (not (!i < n && (s.[!i] = 'e' || s.[!i] = 'E')))
+    || (incr i; sign (); digits ())
+  in
+  (whole || fraction) && exponent_ok && !i = n
+
 let fault_of_spec spec =
   let fail () =
     Error
@@ -70,7 +94,10 @@ let fault_of_spec spec =
          spec)
   in
   let exception Bad in
-  let num s = match float_of_string_opt (String.trim s) with Some v -> v | None -> raise Bad in
+  let num s =
+    let s = String.trim s in
+    if is_decimal s then float_of_string s else raise Bad
+  in
   (* An index must be a whole, non-negative number small enough to
      convert exactly; [1.7], [nan] and [-1] are malformed, not truncated. *)
   let int_ s =

@@ -73,21 +73,13 @@ let run w ~until =
 type layout = {
   n_clients : int;
   n_shards : int;
-  first_shard : int;
-  n_local : int;
-  server_clocks : Clock.t array;
+  shard : int;
+  server_clock : Clock.t option;
   client_clocks : Clock.t array;
 }
 
 let single_server ~n_clients =
-  {
-    n_clients;
-    n_shards = 1;
-    first_shard = 0;
-    n_local = 1;
-    server_clocks = [||];
-    client_clocks = [||];
-  }
+  { n_clients; n_shards = 1; shard = 0; server_clock = None; client_clocks = [||] }
 
 let server_host s = Host_id.of_int s
 let client_host l i = Host_id.of_int (l.n_shards + i)
@@ -139,14 +131,12 @@ let check_faults ~who ~n_clients faults =
    Every simulation holds every client machine, so in a run split into
    one simulation per shard only the first traces what happens to them. *)
 let resolve l target =
-  let clock clocks i = if Array.length clocks = 0 then None else Some clocks.(i) in
   match target with
-  | Client c -> Some (client_host l c, clock l.client_clocks c, l.first_shard = 0)
+  | Client c ->
+    let clock = if Array.length l.client_clocks = 0 then None else Some l.client_clocks.(c) in
+    Some (client_host l c, clock, l.shard = 0)
   | Shard s ->
-    let k = (s mod l.n_shards) - l.first_shard in
-    if k >= 0 && k < l.n_local then
-      Some (server_host (l.first_shard + k), clock l.server_clocks k, true)
-    else None
+    if s mod l.n_shards = l.shard then Some (server_host l.shard, l.server_clock, true) else None
 
 let schedule_faults w l faults =
   let plans = List.map (plan ~who:w.who ~n_clients:l.n_clients) faults in

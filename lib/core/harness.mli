@@ -54,18 +54,15 @@ val run : 'a world -> until:Simtime.Time.t -> unit
 type layout = {
   n_clients : int;
   n_shards : int;  (** K: shard indices in faults resolve modulo K *)
-  first_shard : int;
-  n_local : int;
-      (** this simulation runs the servers of shards
-          [first_shard .. first_shard + n_local - 1] *)
-  server_clocks : Clock.t array;  (** one per local shard, or empty *)
+  shard : int;  (** the shard whose server this simulation runs *)
+  server_clock : Clock.t option;  (** [None]: a server clock fault is ignored *)
   client_clocks : Clock.t array;
       (** one per client, or empty; a clock fault on a host with no clock
           here is ignored *)
 }
 
 val single_server : n_clients:int -> layout
-(** K = 1, the one server local, no clocks. *)
+(** K = 1, shard 0, no clocks. *)
 
 val server_host : int -> Host.Host_id.t
 val client_host : layout -> int -> Host.Host_id.t
@@ -78,7 +75,7 @@ val schedule_faults : 'a world -> layout -> Fault.fault list -> unit
 (** {!check_faults}, then schedule every fault.  [Crash_server] means
     shard 0; a server fault is applied and traced only where that
     server runs.  Client-machine faults are applied everywhere but
-    traced only when [first_shard = 0].  Partitions are not traced. *)
+    traced only when [shard = 0].  Partitions are not traced. *)
 
 (** {1 Driving a trace} *)
 

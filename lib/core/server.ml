@@ -628,10 +628,10 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
       queued = Hashtbl.create 32;
       applied = Hashtbl.create 256;
       (* Write ids are globally unique across shards: the server's host
-         index occupies the high bits (host 0 — the single-server layout —
-         keeps ids 0,1,2,... unchanged), so approval correlation ids in
-         traces never collide between servers.  PRNG-free. *)
-      next_write_id = Host.Host_id.to_int host lsl 32;
+         index occupies the high bits (see [Trace.Op_id]; host 0 — the
+         single-server layout — keeps ids 0,1,2,... unchanged), so approval
+         correlation ids in traces never collide between servers. *)
+      next_write_id = Trace.Op_id.origin ~host:(Host.Host_id.to_int host) ~shard:0;
       recovery_end = Time.zero;
       recovered_at = Time.zero;
       installed_set;

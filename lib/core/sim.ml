@@ -54,73 +54,69 @@ type outcome = {
 type cluster = {
   world : Messages.payload Harness.world;
   layout : Harness.layout;
-  servers : Server.t array;
+  server : Server.t;
   clients : Client.t array;
 }
 
-let cluster world ~n_clients ~config ?(n_shards = 1) ?(first_shard = 0) ?(n_local = n_shards)
-    ?(server_config = fun _ -> config) ?route () =
+let cluster world ~n_clients ~config ?(n_shards = 1) ?(shard = 0) () =
   let engine = world.Harness.engine and net = world.net and liveness = world.liveness in
   let tracer = world.tracer in
+  let server_clock = Clock.create engine () in
   let layout =
     {
       Harness.n_clients;
       n_shards;
-      first_shard;
-      n_local;
-      server_clocks = Array.init n_local (fun _ -> Clock.create engine ());
+      shard;
+      server_clock = Some server_clock;
       client_clocks = Array.init n_clients (fun _ -> Clock.create engine ());
     }
   in
-  let client_hosts = List.init n_clients (Harness.client_host layout) in
-  (* One shared store, disjoint ownership: each server only ever grants and
-     commits the files routed to it, and each keeps its own WAL so the
-     max-term recovery wait is per shard. *)
-  let servers =
-    Array.init n_local (fun k ->
-        let s = first_shard + k in
-        Server.create ~engine ~clock:layout.server_clocks.(k) ~net ~liveness
-          ~host:(Harness.server_host s) ~clients:client_hosts ~store:world.store
-          ~config:(server_config s)
-          ~tracer ())
+  let server =
+    Server.create ~engine ~clock:server_clock ~net ~liveness ~host:(Harness.server_host shard)
+      ~clients:(List.init n_clients (Harness.client_host layout))
+      ~store:world.store ~config ~tracer ()
   in
   let clients =
     (* Split after the net's draw so adding per-client jitter streams never
        perturbs the loss stream of existing seeds. *)
     Array.init n_clients (fun i ->
         let host = Harness.client_host layout i in
-        (* Distinct request-id origins when one client machine lives in
-           several simulations: the first local shard sits above a 26-bit
-           per-simulation sequence, below the host bits, so correlation ids
-           stay unique in a merged stream (shard 0 gives the default). *)
-        let req_origin = (Host_id.to_int host lsl 32) lor (first_shard lsl 26) in
         Client.create ~engine ~clock:layout.client_clocks.(i) ~net ~liveness ~host
-          ~server:(Harness.server_host first_shard) ?route ~rng:(Prng.Splitmix.split world.rng)
-          ~config ~tracer ~req_origin ())
+          ~server:(Harness.server_host shard) ~rng:(Prng.Splitmix.split world.rng) ~config ~tracer
+          ~req_origin:(Trace.Op_id.origin ~host:(Host_id.to_int host) ~shard)
+          ())
   in
-  { world; layout; servers; clients }
+  { world; layout; server; clients }
 
-let drive c ?(on_read = fun _ _ -> ()) ?(on_write = fun _ _ -> ()) ops =
+let instruments c =
+  {
+    i_engine = c.world.engine;
+    i_net = c.world.net;
+    i_server = c.server;
+    i_clients = c.clients;
+    i_server_clock = Server.clock c.server;
+    i_client_clocks = c.layout.client_clocks;
+    i_read_latency = c.world.tally.read_latency;
+    i_write_latency = c.world.tally.write_latency;
+  }
+
+let drive c ops =
   let engine = c.world.engine in
   Harness.drive c.world ~n_clients:(Array.length c.clients) ops
     ~read:(fun op ->
       let start = Engine.now engine in
       Client.read c.clients.(op.client) op.file ~k:(fun r ->
           Harness.read_done c.world (Time.Span.to_sec r.Client.r_latency);
-          on_read op r;
           Oracle.Register_oracle.check_read c.world.oracle ~file:op.file ~version:r.Client.r_version
             ~start ~finish:(Engine.now engine)))
     ~write:(fun op ->
       Client.write c.clients.(op.client) op.file ~k:(fun r ->
-          Harness.write_done c.world (Time.Span.to_sec r.Client.w_latency);
-          on_write op r))
+          Harness.write_done c.world (Time.Span.to_sec r.Client.w_latency)))
 
 let metrics c =
   let client_sum f = Array.fold_left (fun acc x -> acc + f x) 0 c.clients in
-  let server_sum f = Array.fold_left (fun acc s -> acc + f s) 0 c.servers in
-  let handled category = server_sum (fun s -> Server.messages_handled s category) in
-  let write_wait = Stats.Histogram.create () in
-  Array.iter (fun s -> Stats.Histogram.merge write_wait (Server.write_wait s)) c.servers;
+  let server = c.server in
+  let handled = Server.messages_handled server in
   Harness.derive ~rtt_s:(Harness.rtt_s c.world)
     {
       (Harness.metrics c.world) with
@@ -130,12 +126,12 @@ let metrics c =
       msgs_approval = handled Messages.Approval;
       msgs_installed = handled Messages.Installed;
       msgs_write_transfer = handled Messages.Write_transfer;
-      consistency_msgs = server_sum Server.consistency_messages;
-      server_total_msgs = server_sum Server.messages_handled_total;
-      callbacks_sent = server_sum Server.callbacks_sent;
-      commits = server_sum Server.commits;
-      wal_io = server_sum (fun s -> Vstore.Wal.io_records (Server.wal s));
-      write_wait;
+      consistency_msgs = Server.consistency_messages server;
+      server_total_msgs = Server.messages_handled_total server;
+      callbacks_sent = Server.callbacks_sent server;
+      commits = Server.commits server;
+      wal_io = Vstore.Wal.io_records (Server.wal server);
+      write_wait = Server.write_wait server;
       retransmissions = client_sum Client.retransmissions;
       renewals_sent = client_sum Client.renewals_sent;
       approvals_answered = client_sum Client.approvals_answered;
@@ -151,16 +147,6 @@ let run setup ~trace =
   let c = cluster world ~n_clients:setup.n_clients ~config:setup.config () in
   Harness.schedule_faults world c.layout setup.faults;
   drive c (Workload.Trace.ops trace);
-  setup.on_instruments
-    {
-      i_engine = world.engine;
-      i_net = world.net;
-      i_server = c.servers.(0);
-      i_clients = c.clients;
-      i_server_clock = c.layout.server_clocks.(0);
-      i_client_clocks = c.layout.client_clocks;
-      i_read_latency = world.tally.read_latency;
-      i_write_latency = world.tally.write_latency;
-    };
+  setup.on_instruments (instruments c);
   Harness.run world ~until:(Harness.horizon trace ~drain:setup.drain);
   { metrics = metrics c; oracle = world.oracle; store = world.store }

@@ -6,7 +6,7 @@
     a {!Metrics.t}.  The consistency oracle always observes the run.
 
     Host layout: the server is host 0; client index [i] is host [i + 1].
-    {!cluster} is the same builder for K servers. *)
+    {!cluster} is the same builder for one shard of K. *)
 
 include module type of struct
   include Fault
@@ -77,8 +77,8 @@ val run : setup -> trace:Workload.Trace.t -> outcome
 
 type cluster = {
   world : Messages.payload Harness.world;
-  layout : Harness.layout;  (** with every server and client clock *)
-  servers : Server.t array;  (** local shard [first_shard + k] is [servers.(k)] *)
+  layout : Harness.layout;  (** with the server's and every client's clock *)
+  server : Server.t;
   clients : Client.t array;
 }
 
@@ -87,28 +87,21 @@ val cluster :
   n_clients:int ->
   config:Config.t ->
   ?n_shards:int ->
-  ?first_shard:int ->
-  ?n_local:int ->
-  ?server_config:(int -> Config.t) ->
-  ?route:(Vstore.File_id.t -> Host.Host_id.t) ->
+  ?shard:int ->
   unit ->
   cluster
-(** Lease servers for shards [first_shard .. first_shard + n_local - 1]
-    of [n_shards] (defaults: shard 0 of 1, all shards local) sharing the
-    world's store, and [n_clients] clients, each host with its own clock.
-    Shard [s]'s server runs [server_config s] (default [config]).
-    Clients send to the first local server unless [route] says
-    otherwise, and number requests from [host lsl 32 lor first_shard lsl 26]. *)
+(** The lease server of shard [shard] of [n_shards] (defaults: shard 0 of
+    1) on the world's store, and [n_clients] clients, each host with its
+    own clock.  Clients number requests from
+    [Trace.Op_id.origin ~host ~shard], which raises [Invalid_argument]
+    for a shard past {!Trace.Op_id.max_shards}. *)
 
-val drive :
-  cluster ->
-  ?on_read:(Workload.Op.t -> Client.read_result -> unit) ->
-  ?on_write:(Workload.Op.t -> Client.write_result -> unit) ->
-  Workload.Op.t list ->
-  unit
-(** {!Harness.drive} through the clients; the oracle checks each read
-    after [on_read] sees it. *)
+val instruments : cluster -> instruments
+(** The cluster's read-only handles, as {!run} passes them to
+    [on_instruments]. *)
+
+val drive : cluster -> Workload.Op.t list -> unit
+(** {!Harness.drive} through the clients; the oracle checks each read. *)
 
 val metrics : cluster -> Metrics.t
-(** Counters summed over clients and servers, [write_wait] merged in
-    server order. *)
+(** Counters summed over the clients, plus the server's. *)

@@ -115,7 +115,7 @@ let classify_point_once ~timer ~ops sink =
   let payloads =
     Array.init 8 (fun i ->
         Leases.Messages.Write_request
-          { req = (1 lsl 32) lor i; file = Vstore.File_id.of_int i })
+          { req = Trace.Op_id.origin ~host:1 ~shard:0 + i; file = Vstore.File_id.of_int i })
   in
   let started = timer () in
   for i = 0 to ops - 1 do

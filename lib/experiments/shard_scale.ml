@@ -55,16 +55,16 @@ let sweep ~term_s ~duration ~client_counts ~shard_counts =
               telemetry_interval_s = Some 30.;
             }
           in
-          let outcome = Shard.Deploy.run setup ~trace in
+          let outcome = Shard.Deploy.run_split setup ~trace in
           let total =
             Array.fold_left
               (fun acc sl -> acc +. sl.Shard.Deploy.sl_consistency_rate)
-              0. outcome.Shard.Deploy.per_shard
+              0. outcome.Shard.Deploy.sp_per_shard
           in
           let per_server = total /. float_of_int n_shards in
           if n_shards = 1 then baseline := per_server;
           let worst_steady_residual =
-            match Shard.Deploy.telemetry_report setup outcome with
+            match Shard.Deploy.split_telemetry_report setup outcome with
             | None -> nan
             | Some reports ->
               Array.fold_left
@@ -82,7 +82,7 @@ let sweep ~term_s ~duration ~client_counts ~shard_counts =
             per_server_per_s = per_server;
             rel_per_server = per_server /. !baseline;
             worst_steady_residual;
-            violations = outcome.Shard.Deploy.metrics.Leases.Metrics.oracle_violations;
+            violations = outcome.Shard.Deploy.sp_metrics.Leases.Metrics.oracle_violations;
           })
         shard_counts)
     client_counts

@@ -14,7 +14,6 @@ type setup = {
   drain : Time.Span.t;
   tracer : Trace.Sink.t;
   telemetry_interval_s : float option;
-  latency : Trace.Critical_path.t option;
   profilers : Profile.Recorder.t array;
 }
 
@@ -32,7 +31,6 @@ let default_setup =
     drain = Time.Span.of_sec 120.;
     tracer = Trace.Sink.null;
     telemetry_interval_s = None;
-    latency = None;
     profilers = [||];
   }
 
@@ -51,15 +49,6 @@ type shard_load = {
   sl_total_msgs : int;
   sl_commits : int;
   sl_consistency_rate : float;  (** consistency messages per virtual second *)
-}
-
-type outcome = {
-  metrics : Leases.Metrics.t;
-  per_shard : shard_load array;
-  map : Shard_map.t;
-  oracle : Oracle.Register_oracle.t;
-  store : Vstore.Store.t;
-  telemetry : Shard_telemetry.t option;
 }
 
 (* A shard server multicasts installed-file refreshes only for the files
@@ -94,84 +83,12 @@ let load_of_server ~shard ~sim_duration server =
       (if sim_duration <= 0. then 0. else float_of_int shard_consistency /. sim_duration);
   }
 
-(* Shards [first_shard .. first_shard + n_local - 1] of the deployment as
-   one lease cluster on a fresh harness world, driven through [ops] to
-   [until].  Each op's completion lands in its owning shard's telemetry
-   stream; with [latency], each stream's windows also carry the
-   analyzer's per-phase write-delay sums for its server (the caller tees
-   the analyzer's sink into [tracer]). *)
-let simulate setup ~who ~tracer ?profiler ~rng ~map ~first_shard ~n_local ?route ?latency ~until
-    ops =
-  let world =
-    Leases.Harness.world ~who ~tracer ?profiler ~classify:Leases.Messages.trace_class ~rng
-      ~loss:setup.loss ~m_prop:setup.m_prop ~m_proc:setup.m_proc ()
-  in
-  let c =
-    Leases.Sim.cluster world ~n_clients:setup.n_clients ~config:setup.config
-      ~n_shards:setup.n_shards ~first_shard ~n_local ~server_config:(config_for_shard setup map)
-      ?route ()
-  in
-  let telemetry =
-    Option.map
-      (fun interval_s ->
-        let t = Shard_telemetry.create ~interval_s ~n_shards:n_local () in
-        Shard_telemetry.attach t ~engine:world.engine ~servers:c.servers;
-        Option.iter
-          (fun analyzer ->
-            for k = 0 to n_local - 1 do
-              let server = Host_id.to_int (server_host (first_shard + k)) in
-              Shard_telemetry.set_phase_source t ~shard:k (fun () ->
-                  Trace.Critical_path.phase_sums_for analyzer ~server)
-            done)
-          latency;
-        t)
-      setup.telemetry_interval_s
-  in
-  Leases.Harness.schedule_faults world c.layout setup.faults;
-  let noting f = Option.map f telemetry in
-  let shard_of (op : Workload.Op.t) = Shard_map.owner map op.file - first_shard in
-  Leases.Sim.drive c ops
-    ?on_read:
-      (noting (fun t op r ->
-           Shard_telemetry.note_read t ~shard:(shard_of op)
-             ~latency_s:(Time.Span.to_sec r.Leases.Client.r_latency)
-             ~hit:r.Leases.Client.r_from_cache))
-    ?on_write:
-      (noting (fun t op r ->
-           Shard_telemetry.note_write t ~shard:(shard_of op)
-             ~latency_s:(Time.Span.to_sec r.Leases.Client.w_latency)));
-  Leases.Harness.run world ~until;
-  Option.iter Shard_telemetry.finalize telemetry;
-  let metrics = Leases.Sim.metrics c in
-  let sim_duration = metrics.Leases.Metrics.sim_duration in
-  let loads =
-    Array.mapi (fun k server -> load_of_server ~shard:(first_shard + k) ~sim_duration server) c.servers
-  in
-  (c, metrics, loads, telemetry)
-
-let run setup ~trace =
-  if setup.n_clients < 1 then invalid_arg "Deploy.run: need at least one client";
-  if setup.n_shards < 1 then invalid_arg "Deploy.run: need at least one shard";
-  let map = Shard_map.create ~vnodes:setup.vnodes ~seed:setup.seed ~shards:setup.n_shards () in
-  let c, metrics, per_shard, telemetry =
-    simulate setup ~who:"Deploy.run" ~tracer:setup.tracer
-      ~rng:(Prng.Splitmix.create ~seed:setup.seed) ~map ~first_shard:0 ~n_local:setup.n_shards
-      ~route:(fun file -> server_host (Shard_map.owner map file))
-      ?latency:setup.latency ~until:(Leases.Harness.horizon trace ~drain:setup.drain)
-      (Workload.Trace.ops trace)
-  in
-  { metrics; per_shard; map; oracle = c.world.oracle; store = c.world.store; telemetry }
-
-(* ------------------------------------------------------------------ *)
-(* Split deployment: one self-contained sub-simulation per shard.      *)
-
 type part = {
   p_shard : int;
   p_metrics : Leases.Metrics.t;
   p_load : shard_load;
   p_oracle : Oracle.Register_oracle.t;
-  p_store : Vstore.Store.t;
-  p_telemetry : Shard_telemetry.t option;
+  p_telemetry : Telemetry.Sampler.t option;
   p_events : Trace.Event.t list;
   p_rtt_s : float;
 }
@@ -186,7 +103,7 @@ type split_outcome = {
 
 (* One shard as a complete, isolated simulation: its own engine, clocks,
    network, liveness/partition, store, WAL (inside the server), trace
-   buffer, telemetry collector and profile recorder.  Nothing in here
+   buffer, telemetry sampler and profile recorder.  Nothing in here
    touches state shared with another part, so parts may run on separate
    domains; [rng] was pre-split from the master seed before any domain
    started.  All [n_clients] client machines exist in every part — an op
@@ -194,25 +111,42 @@ type split_outcome = {
    contributes nothing.  The harness applies client-machine faults in
    every part but traces them only from part 0, and server faults only in
    the part that runs the shard. *)
-let run_split_part setup ~map ~rng ~horizon ~part_ops ~shard:s =
+let run_part setup ~map ~rng ~horizon ~ops s =
   let buf = if Trace.Sink.enabled setup.tracer then Some (Trace.Sink.buffer ()) else None in
   let tracer = match buf with Some b -> Trace.Sink.buffer_sink b | None -> Trace.Sink.null in
   let profiler =
     if s < Array.length setup.profilers then setup.profilers.(s) else Profile.Recorder.null
   in
-  let c, metrics, loads, telemetry =
-    simulate setup ~who:"Deploy.run_split" ~tracer ~profiler ~rng ~map ~first_shard:s ~n_local:1
-      ~until:horizon part_ops
+  let world =
+    Leases.Harness.world ~who:"Deploy.run_split" ~tracer ~profiler
+      ~classify:Leases.Messages.trace_class ~rng ~loss:setup.loss ~m_prop:setup.m_prop
+      ~m_proc:setup.m_proc ()
   in
+  let c =
+    Leases.Sim.cluster world ~n_clients:setup.n_clients ~config:(config_for_shard setup map s)
+      ~n_shards:setup.n_shards ~shard:s ()
+  in
+  Leases.Harness.schedule_faults world c.layout setup.faults;
+  Leases.Sim.drive c ops;
+  let sampler =
+    Option.map
+      (fun interval_s ->
+        let sampler = Telemetry.Sampler.create ~interval_s () in
+        Telemetry.Sampler.attach sampler (Leases.Sim.instruments c);
+        sampler)
+      setup.telemetry_interval_s
+  in
+  Leases.Harness.run world ~until:horizon;
+  Option.iter Telemetry.Sampler.finalize sampler;
+  let metrics = Leases.Sim.metrics c in
   {
     p_shard = s;
     p_metrics = metrics;
-    p_load = loads.(0);
-    p_oracle = c.world.oracle;
-    p_store = c.world.store;
-    p_telemetry = telemetry;
+    p_load = load_of_server ~shard:s ~sim_duration:metrics.Leases.Metrics.sim_duration c.server;
+    p_oracle = world.oracle;
+    p_telemetry = sampler;
     p_events = (match buf with Some b -> Trace.Sink.buffer_contents b | None -> []);
-    p_rtt_s = Leases.Harness.rtt_s c.world;
+    p_rtt_s = Leases.Harness.rtt_s world;
   }
 
 (* Deterministic merge: every integer field sums; histograms fold with
@@ -265,6 +199,10 @@ let merge_split_metrics ~rtt_s parts =
 let run_split ?(domains = 1) setup ~trace =
   if setup.n_clients < 1 then invalid_arg "Deploy.run_split: need at least one client";
   if setup.n_shards < 1 then invalid_arg "Deploy.run_split: need at least one shard";
+  if setup.n_shards > Trace.Op_id.max_shards then
+    invalid_arg
+      (Printf.sprintf "Deploy.run_split: %d shards, at most %d fit the request-id layout"
+         setup.n_shards Trace.Op_id.max_shards);
   if domains < 1 then invalid_arg "Deploy.run_split: need at least one domain";
   Leases.Harness.check_faults ~who:"Deploy.run_split" ~n_clients:setup.n_clients setup.faults;
   let map = Shard_map.create ~vnodes:setup.vnodes ~seed:setup.seed ~shards:setup.n_shards () in
@@ -283,9 +221,7 @@ let run_split ?(domains = 1) setup ~trace =
     (Workload.Trace.ops trace);
   let part_ops = Array.map List.rev part_ops in
   let horizon = Leases.Harness.horizon trace ~drain:setup.drain in
-  let run_part s =
-    run_split_part setup ~map ~rng:rngs.(s) ~horizon ~part_ops:part_ops.(s) ~shard:s
-  in
+  let run_part s = run_part setup ~map ~rng:rngs.(s) ~horizon ~ops:part_ops.(s) s in
   let parts =
     let n_dom = Stdlib.min domains setup.n_shards in
     if n_dom <= 1 then Array.init setup.n_shards run_part
@@ -328,9 +264,7 @@ let run_split ?(domains = 1) setup ~trace =
   end;
   let sp_telemetry =
     Option.map
-      (fun interval_s ->
-        Shard_telemetry.gather ~interval_s
-          ~parts:(Array.map (fun p -> Option.get p.p_telemetry) parts))
+      (fun _ -> Shard_telemetry.gather (Array.map (fun p -> Option.get p.p_telemetry) parts))
       setup.telemetry_interval_s
   in
   {
@@ -354,12 +288,7 @@ let residual_params ?tolerance ?warmup_s setup =
     ~epsilon_s:(Time.Span.to_sec setup.config.Leases.Config.skew_allowance)
     ~term ()
 
-let telemetry_report setup outcome =
-  Option.map
-    (fun collector -> Shard_telemetry.report collector ~params:(residual_params setup))
-    outcome.telemetry
-
 let split_telemetry_report setup outcome =
   Option.map
-    (fun collector -> Shard_telemetry.report collector ~params:(residual_params setup))
+    (fun windows -> Shard_telemetry.report windows ~params:(residual_params setup))
     outcome.sp_telemetry

@@ -1,21 +1,21 @@
 (** Sharded multi-server deployment.
 
-    Partitions the file namespace across N independent lease servers with
-    a {!Shard_map} and runs a full cluster: shard [s]'s server is host
-    [s], client [i] is host [n_shards + i], and every client routes each
-    operation to the owning server through [Leases.Client]'s [route]
-    hook — per-server retry state, per-server renewal batching, approval
-    replies to whichever server asked.  The servers share one versioned
-    store (their file sets are disjoint) but keep independent WALs, lease
-    tables and clocks, so a crashed shard runs the max-term recovery wait
-    on its own while the others keep serving.
+    Partitions the file namespace across K independent lease servers with
+    a {!Shard_map}: shard [s]'s server is host [s] and client [i] is host
+    [K + i].  A lease covers one datum and the servers own disjoint file
+    sets, so the cluster splits exactly into K single-server simulations,
+    one per shard, each with its own engine, clocks, network, liveness and
+    partition state, store, WAL, trace buffer, telemetry sampler and
+    profile recorder.  A crashed shard runs the max-term recovery wait on
+    its own while the others keep serving.
 
-    Both cluster models below are [Leases.Sim.cluster] on a
-    [Leases.Harness] world, faulted by [Leases.Harness.schedule_faults]:
-    shard indices resolve modulo the shard count and [Crash_server] means
-    shard 0, so single-server fault schedules replay on a sharded cluster.
-    The consistency oracle observes the shared store exactly as in the
-    single-server driver. *)
+    Each part is [Leases.Sim.cluster] on a [Leases.Harness] world, faulted
+    by [Leases.Harness.schedule_faults]: shard indices resolve modulo the
+    shard count and [Crash_server] means shard 0, so single-server fault
+    schedules replay on a sharded cluster.  Client-machine faults apply
+    in every part and are traced by part 0 only; server faults apply in
+    the part that runs the shard.  Each part's consistency oracle
+    observes that part's store. *)
 
 type setup = {
   seed : int64;
@@ -30,21 +30,14 @@ type setup = {
   drain : Simtime.Time.Span.t;
   tracer : Trace.Sink.t;
   telemetry_interval_s : float option;
-      (** when set, collect per-shard {!Shard_telemetry} windows at this
-          interval *)
-  latency : Trace.Critical_path.t option;
-      (** a live critical-path analyzer whose sink the caller has already
-          tee'd into [tracer]; when telemetry is also on, each shard's
-          windows carry that shard's per-phase write-delay sums.
-          {!run_split} cannot poll the analyzer during the run (it feeds
-          the merged stream after the parts join), so split-mode windows
-          carry no per-phase sums whatever this field holds. *)
+      (** when set, each part runs a {!Telemetry.Sampler} at this
+          interval; {!split_telemetry_report} reads them per shard *)
   profilers : Profile.Recorder.t array;
-      (** {!run_split} only: recorder installed on sub-simulation [s]'s
-          engine is [profilers.(s)] (out-of-range shards get
-          {!Profile.Recorder.null}).  The caller creates them because the
-          recorder needs a wallclock timer this library does not have.
-          Empty — the default — profiles nothing; ignored by {!run}. *)
+      (** the recorder installed on part [s]'s engine is [profilers.(s)]
+          (out-of-range shards get {!Profile.Recorder.null}).  The caller
+          creates them because the recorder needs a wallclock timer this
+          library does not have.  Empty — the default — profiles
+          nothing. *)
 }
 
 val default_setup : setup
@@ -73,53 +66,24 @@ type shard_load = {
   sl_consistency_rate : float;  (** consistency messages per virtual second *)
 }
 
-type outcome = {
-  metrics : Leases.Metrics.t;
-      (** cluster-wide aggregate, field-compatible with the single-server
-          harness (server counters summed over shards) *)
-  per_shard : shard_load array;
-  map : Shard_map.t;
-  oracle : Oracle.Register_oracle.t;
-  store : Vstore.Store.t;
-  telemetry : Shard_telemetry.t option;  (** finalized when present *)
-}
-
-val run : setup -> trace:Workload.Trace.t -> outcome
-(** Trace ops and faults naming a client outside [0, n_clients) raise
-    [Invalid_argument] before the run starts. *)
-
-(** {1 Split deployment} — one self-contained sub-simulation per shard.
-
-    {!run_split} partitions the workload by file ownership and runs shard
-    [s] as a complete, isolated simulation: its own engine, clocks,
-    network, liveness and partition state, store, WAL, trace buffer,
-    telemetry collector and profile recorder, with per-shard RNG streams
-    pre-split from the master seed in shard order before any domain
-    starts.  All [n_clients] client machines exist in every part (an op
-    reaches the part owning its file; an idle client contributes
-    nothing), with distinct request-id origins so correlation ids stay
-    unique in the merged trace.  Client-machine faults apply in every
-    part and are traced by part 0 only; server faults apply in the part
-    that runs the shard.
-
-    The result is deterministic in the seed and independent of [domains]:
-    metrics sum, latency histograms fold with {!Stats.Histogram.merge} in
-    shard order, telemetry windows are keyed by shard, and the per-part
-    trace streams are merged by [(timestamp, shard)] and replayed into
-    [setup.tracer] after the parts join.
-
-    This is a different cluster model from {!run} — independent network
-    fabrics and per-shard fault isolation instead of one shared fabric —
-    so its numbers are not comparable to {!run}'s for the same seed;
-    compare [run_split ~domains:1] against [run_split ~domains:k]. *)
+(** {1 Running} The result is deterministic in the seed and independent
+    of the domain count: per-shard RNG streams are pre-split from the
+    master seed in shard order before any domain starts, metrics sum,
+    latency histograms fold with {!Stats.Histogram.merge} in shard order,
+    telemetry windows are keyed by shard, and the per-part trace streams
+    are merged by [(timestamp, shard)] and replayed into [setup.tracer]
+    after the parts join.  All [n_clients] client machines exist in every
+    part (an op reaches the part owning its file; an idle client
+    contributes nothing), with distinct request-id origins
+    ({!Trace.Op_id}) so correlation ids stay unique in the merged
+    trace. *)
 
 type part = {
   p_shard : int;
   p_metrics : Leases.Metrics.t;  (** this part alone; [sim_duration] is the shared horizon *)
   p_load : shard_load;
   p_oracle : Oracle.Register_oracle.t;
-  p_store : Vstore.Store.t;  (** this shard's slice of the namespace *)
-  p_telemetry : Shard_telemetry.t option;  (** single-shard collector, finalized *)
+  p_telemetry : Telemetry.Sampler.t option;  (** this part's sampler, finalized *)
   p_events : Trace.Event.t list;
       (** this part's trace, time-ordered; empty when [setup.tracer] is
           disabled *)
@@ -131,7 +95,7 @@ type split_outcome = {
   sp_per_shard : shard_load array;
   sp_map : Shard_map.t;
   sp_telemetry : Shard_telemetry.t option;
-      (** per-shard windows gathered from the parts, keyed by shard *)
+      (** the parts' windows, keyed by shard *)
   sp_parts : part array;
 }
 
@@ -140,8 +104,9 @@ val run_split : ?domains:int -> setup -> trace:Workload.Trace.t -> split_outcome
     concurrently; [min domains n_shards] are used, pulling shard indices
     from a shared counter.  [~domains:1] runs the parts sequentially on
     the calling domain and produces bit-identical results to any other
-    domain count.  Bad client indices raise as for {!run}, before any
-    domain starts. *)
+    domain count.  Trace ops and faults naming a client outside
+    [0, n_clients), and more than {!Trace.Op_id.max_shards} shards, raise
+    [Invalid_argument] before any domain starts. *)
 
 val residual_params :
   ?tolerance:float -> ?warmup_s:float -> setup -> Telemetry.Residual.params
@@ -149,10 +114,7 @@ val residual_params :
     configured message times and skew allowance, and the term implied by
     the term policy (an adaptive policy evaluates at its max term). *)
 
-val telemetry_report : setup -> outcome -> Shard_telemetry.shard_report array option
-(** Per-shard windows, residual evaluations and summaries; [None] when the
-    setup collected no telemetry. *)
-
 val split_telemetry_report :
   setup -> split_outcome -> Shard_telemetry.shard_report array option
-(** {!telemetry_report} for a split run. *)
+(** Per-shard windows, residual evaluations and summaries; [None] when the
+    setup collected no telemetry. *)

@@ -1,203 +1,9 @@
-open Simtime
 module Sampler = Telemetry.Sampler
 module Residual = Telemetry.Residual
 
-(* Cumulative per-shard values at a boundary; windows are deltas between
-   consecutive snapshots, mirroring [Telemetry.Sampler]'s semantics. *)
-type cumul = {
-  mutable reads : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable read_delay_sum : float;
-  mutable read_delay_count : int;
-  mutable write_delay_sum : float;
-  mutable write_delay_count : int;
-  mutable commits : int;
-  mutable extension : int;
-  mutable approval : int;
-  mutable installed : int;
-  mutable write_transfer : int;
-}
+type t = Sampler.window list array
 
-let zero_cumul () =
-  {
-    reads = 0;
-    hits = 0;
-    misses = 0;
-    read_delay_sum = 0.;
-    read_delay_count = 0;
-    write_delay_sum = 0.;
-    write_delay_count = 0;
-    commits = 0;
-    extension = 0;
-    approval = 0;
-    installed = 0;
-    write_transfer = 0;
-  }
-
-type t = {
-  interval_s : float;
-  n_shards : int;
-  live : cumul array;  (* client-side stats, updated by the deploy driver *)
-  prev : cumul array;  (* values at the last closed boundary *)
-  windows : Sampler.window list array;  (* newest first, per shard *)
-  phase_sources : (unit -> (string * float) list) option array;
-  prev_phases : (string, float) Hashtbl.t array;
-  mutable next_index : int;
-  mutable last_t : float;
-  mutable engine : Engine.t option;
-  mutable servers : Leases.Server.t array;
-}
-
-let create ?(interval_s = 10.) ~n_shards () =
-  if not (Float.is_finite interval_s) || interval_s <= 0. then
-    invalid_arg "Shard_telemetry.create: interval must be positive and finite";
-  if n_shards < 1 then invalid_arg "Shard_telemetry.create: need at least one shard";
-  {
-    interval_s;
-    n_shards;
-    live = Array.init n_shards (fun _ -> zero_cumul ());
-    prev = Array.init n_shards (fun _ -> zero_cumul ());
-    windows = Array.make n_shards [];
-    phase_sources = Array.make n_shards None;
-    prev_phases = Array.init n_shards (fun _ -> Hashtbl.create 8);
-    next_index = 0;
-    last_t = 0.;
-    engine = None;
-    servers = [||];
-  }
-
-let interval_s t = t.interval_s
-
-let note_read t ~shard ~latency_s ~hit =
-  let c = t.live.(shard) in
-  c.reads <- c.reads + 1;
-  if hit then c.hits <- c.hits + 1 else c.misses <- c.misses + 1;
-  c.read_delay_sum <- c.read_delay_sum +. latency_s;
-  c.read_delay_count <- c.read_delay_count + 1
-
-let note_write t ~shard ~latency_s =
-  let c = t.live.(shard) in
-  c.write_delay_sum <- c.write_delay_sum +. latency_s;
-  c.write_delay_count <- c.write_delay_count + 1
-
-let set_phase_source t ~shard source = t.phase_sources.(shard) <- Some source
-
-(* The per-shard source reports cumulative per-phase write-delay sums;
-   windows carry the increments, sparse like [Sampler]'s counter deltas. *)
-let phase_deltas t ~shard =
-  match t.phase_sources.(shard) with
-  | None -> []
-  | Some source ->
-    let prev = t.prev_phases.(shard) in
-    List.filter_map
-      (fun (name, value) ->
-        let before = Option.value (Hashtbl.find_opt prev name) ~default:0. in
-        Hashtbl.replace prev name value;
-        if value <> before then Some (name, value -. before) else None)
-      (source ())
-
-(* Snapshot each shard server's cumulative message counters into [live]
-   (the client-side fields are already current) and close one window per
-   shard against [prev]. *)
-let close t ~t_end =
-  if t_end > t.last_t then begin
-    Array.iteri
-      (fun s server ->
-        let c = t.live.(s) in
-        c.commits <- Leases.Server.commits server;
-        c.extension <- Leases.Server.messages_handled server Leases.Messages.Extension;
-        c.approval <- Leases.Server.messages_handled server Leases.Messages.Approval;
-        c.installed <- Leases.Server.messages_handled server Leases.Messages.Installed;
-        c.write_transfer <- Leases.Server.messages_handled server Leases.Messages.Write_transfer;
-        let snap = Leases.Server.snapshot server in
-        let p = t.prev.(s) in
-        let window =
-          {
-            Sampler.w_index = t.next_index;
-            t_start = t.last_t;
-            t_end;
-            counters = [];
-            deltas = [];
-            reads = c.reads - p.reads;
-            hits = c.hits - p.hits;
-            misses = c.misses - p.misses;
-            commits = c.commits - p.commits;
-            extension_msgs = c.extension - p.extension;
-            approval_msgs = c.approval - p.approval;
-            installed_msgs = c.installed - p.installed;
-            write_transfer_msgs = c.write_transfer - p.write_transfer;
-            read_delay_sum = c.read_delay_sum -. p.read_delay_sum;
-            read_delay_count = c.read_delay_count - p.read_delay_count;
-            write_delay_sum = c.write_delay_sum -. p.write_delay_sum;
-            write_delay_count = c.write_delay_count - p.write_delay_count;
-            lease_files = snap.Leases.Server.lease_files;
-            lease_records = snap.Leases.Server.lease_records;
-            lease_records_live = snap.Leases.Server.lease_records_live;
-            pending_writes = snap.Leases.Server.pending_writes;
-            queued_writes = snap.Leases.Server.queued_writes;
-            client_inflight = 0;
-            client_queued_ops = 0;
-            in_flight_msgs = 0;
-            server_up = snap.Leases.Server.up;
-            server_recovering = snap.Leases.Server.recovering;
-            skews = [];
-            by_entity = [];
-            write_phase_sums = phase_deltas t ~shard:s;
-          }
-        in
-        t.windows.(s) <- window :: t.windows.(s);
-        (* [c] keeps mutating; the boundary needs a frozen copy *)
-        t.prev.(s) <- { c with reads = c.reads })
-      t.servers;
-    t.next_index <- t.next_index + 1;
-    t.last_t <- t_end
-  end
-
-let attach t ~engine ~servers =
-  (match t.engine with
-  | Some _ -> invalid_arg "Shard_telemetry.attach: already attached"
-  | None -> ());
-  if Array.length servers <> t.n_shards then
-    invalid_arg "Shard_telemetry.attach: one server per shard required";
-  t.engine <- Some engine;
-  t.servers <- servers;
-  (* One boundary event at a time: each fire schedules its successor, so a
-     run horizon simply strands at most one pending callback. *)
-  let rec arm k =
-    let t_end = float_of_int k *. t.interval_s in
-    ignore
-      (Engine.schedule_at engine (Time.of_sec t_end) (fun () ->
-           close t ~t_end;
-           arm (k + 1)))
-  in
-  arm 1
-
-let finalize t =
-  match t.engine with
-  | None -> ()
-  | Some engine -> close t ~t_end:(Time.to_sec (Engine.now engine))
-
-let windows t ~shard = List.rev t.windows.(shard)
-
-(* Stitch single-shard collectors — one per sub-simulation, in shard
-   order — into one collector keyed by shard.  Every part closed its
-   boundaries at the same engine instants (multiples of the shared
-   interval, plus the common horizon), so window indices line up across
-   shards exactly as in the shared-engine collector. *)
-let gather ~interval_s ~parts =
-  let n_shards = Array.length parts in
-  if n_shards < 1 then invalid_arg "Shard_telemetry.gather: need at least one part";
-  let t = create ~interval_s ~n_shards () in
-  Array.iteri
-    (fun s part ->
-      if part.n_shards <> 1 then
-        invalid_arg "Shard_telemetry.gather: parts must be single-shard collectors";
-      if part.interval_s <> interval_s then
-        invalid_arg "Shard_telemetry.gather: parts must share the interval";
-      t.windows.(s) <- part.windows.(0))
-    parts;
-  t
+let gather parts = Array.map Sampler.windows parts
 
 type shard_report = {
   sr_shard : int;
@@ -207,7 +13,8 @@ type shard_report = {
 }
 
 let report t ~params =
-  Array.init t.n_shards (fun s ->
-      let ws = windows t ~shard:s in
+  Array.mapi
+    (fun s ws ->
       let evals = List.map (Residual.evaluate_window params) ws in
       { sr_shard = s; sr_windows = ws; sr_evals = evals; sr_summary = Residual.summarize params evals })
+    t

@@ -1,59 +1,18 @@
 (** Per-shard telemetry windows and §3.1 residuals for sharded deployments.
 
-    [Telemetry.Sampler] attaches to exactly one server; a sharded cluster
-    has N.  This collector builds the same {!Telemetry.Sampler.window}
-    records — one stream per shard, boundaries at every multiple of the
-    interval in engine time — from two sources: the deploy driver reports
-    read/write completions attributed to the owning shard
-    ({!note_read}/{!note_write}), and each boundary snapshots every shard
-    server's cumulative message counters and occupancy gauges.  The
-    windows then flow through the unmodified
-    {!Telemetry.Residual.evaluate_window}, giving a per-shard measured
-    -vs-predicted consistency load with no shard-specific model: the
-    model's per-client read rate is simply measured from that shard's
-    completions.
-
-    Fields a per-shard view cannot attribute (merged counter dumps, client
-    RPC queues, in-flight messages, clock skews, breakdowns) are empty or
-    zero; the residual evaluator does not read them. *)
+    Each part of a split deployment is a single-server simulation, so it
+    samples itself with the ordinary {!Telemetry.Sampler}.  {!gather}
+    keys the parts' windows by shard, and {!report} runs them through the
+    unmodified {!Telemetry.Residual.evaluate_window}: a per-shard measured
+    -vs-predicted consistency load with no shard-specific model, the
+    model's per-client read rate measured from that shard's reads. *)
 
 type t
 
-val create : ?interval_s:float -> n_shards:int -> unit -> t
-(** [interval_s] defaults to 10 s; must be positive and finite. *)
-
-val interval_s : t -> float
-
-val note_read : t -> shard:int -> latency_s:float -> hit:bool -> unit
-(** A read completed on a file the given shard owns. *)
-
-val note_write : t -> shard:int -> latency_s:float -> unit
-(** A write completed on a file the given shard owns. *)
-
-val set_phase_source : t -> shard:int -> (unit -> (string * float) list) -> unit
-(** Install a cumulative per-phase write-delay source for one shard
-    (typically {!Trace.Critical_path.phase_sums_for} restricted to that
-    shard's server host); that shard's windows then carry the per-phase
-    increments in [write_phase_sums].  Polled at window boundaries only. *)
-
-val attach : t -> engine:Simtime.Engine.t -> servers:Leases.Server.t array -> unit
-(** Schedule the boundary callbacks; [servers.(s)] must be shard [s]'s
-    server.  Attaches once; reattaching raises [Invalid_argument]. *)
-
-val finalize : t -> unit
-(** Close the trailing partial window at the current engine instant.
-    Idempotent; a no-op when never attached. *)
-
-val windows : t -> shard:int -> Telemetry.Sampler.window list
-(** Closed windows for one shard, in time order. *)
-
-val gather : interval_s:float -> parts:t array -> t
-(** Merge finalized single-shard collectors — one per shard, in shard
-    order — into a collector keyed by shard: part [s]'s shard-0 windows
-    become shard [s]'s.  For deployments running each shard as its own
-    sub-simulation; every part must collect a single shard on the same
-    interval (raises [Invalid_argument] otherwise).  The result is
-    read-only — do not {!attach} it. *)
+val gather : Telemetry.Sampler.t array -> t
+(** Finalized samplers, one per shard in shard order, all on one interval:
+    part [s]'s windows become shard [s]'s.  Every part runs to the same
+    horizon, so window indices line up across shards. *)
 
 type shard_report = {
   sr_shard : int;
@@ -65,5 +24,4 @@ type shard_report = {
 val report : t -> params:Telemetry.Residual.params -> shard_report array
 (** One report per shard.  [params.n_clients] should be the {e total}
     client count: every client reads every shard, so the per-shard,
-    per-client rate the model wants is shard completions over all
-    clients. *)
+    per-client rate the model wants is shard reads over all clients. *)

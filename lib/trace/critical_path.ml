@@ -65,10 +65,6 @@ let op_kinds = [ K_read; K_extend; K_write ]
 let kind_index = function K_read -> 0 | K_extend -> 1 | K_write -> 2
 let op_kind_name = function K_read -> "read" | K_extend -> "extend" | K_write -> "write"
 
-(* Operation ids are the client's request ids: host index in the high
-   bits, per-client sequence in the low 32. *)
-let op_name id = Printf.sprintf "c%d#%d" (id lsr 32) (id land 0xFFFF_FFFF)
-
 type seg = { s_phase : phase; s_from : float; s_to : float }
 
 type resolution = R_approved of float | R_expired of float | R_crashed of float
@@ -426,7 +422,7 @@ type report = {
 let explain op ~latency ~sums =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "%s %s on file %d took %.6g s" (op_kind_name op.o_kind) (op_name op.o_id)
+    (Printf.sprintf "%s %s on file %d took %.6g s" (op_kind_name op.o_kind) (Op_id.name op.o_id)
        op.o_file latency);
   let ranked =
     List.filter (fun (_, v) -> v > 0.) (List.map (fun p -> (p, sums.(phase_index p))) phases)
@@ -559,11 +555,6 @@ let report ?(k = 5) t =
 
 let phase_sums t = List.map (fun p -> (phase_name p, t.write_sums.(phase_index p))) phases
 
-let phase_sums_for t ~server =
-  match Hashtbl.find_opt t.servers server with
-  | None -> List.map (fun p -> (phase_name p, 0.)) phases
-  | Some row -> List.map (fun p -> (phase_name p, row.sv_sums.(phase_index p))) phases
-
 (* ---------------------------------------------------------------------- *)
 (* JSON export: leases-latency/1, deterministic                           *)
 
@@ -584,7 +575,7 @@ let int_json i = Json.Num (float_of_int i)
 let worst_json w =
   Json.Obj
     [
-      ("op", Json.Str (op_name w.w_op));
+      ("op", Json.Str (Op_id.name w.w_op));
       ("op_id", int_json w.w_op);
       ("client", int_json w.w_client);
       ("server", int_json w.w_server);

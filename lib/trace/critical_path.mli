@@ -40,10 +40,6 @@ type op_kind = K_read | K_extend | K_write
 
 val op_kind_name : op_kind -> string
 
-val op_name : int -> string
-(** ["c<host>#<seq>"] rendering of a request id (host index in the high
-    bits, per-client sequence in the low 32). *)
-
 type t
 
 val create : unit -> t
@@ -57,9 +53,6 @@ val phase_sums : t -> (string * float) list
 (** Cumulative per-phase delay sums over completed {e writes}, in
     {!phases} order — the telemetry sampler differences these into
     per-window sums. *)
-
-val phase_sums_for : t -> server:int -> (string * float) list
-(** Per-server variant, for per-shard telemetry breakdowns. *)
 
 (** {1 Reporting} *)
 

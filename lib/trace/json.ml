@@ -104,10 +104,16 @@ let parse s =
          | 'u' ->
            advance ();
            if !pos + 4 > n then fail "truncated \\u escape";
-           let code =
-             try int_of_string ("0x" ^ String.sub s !pos 4)
-             with _ -> fail "bad \\u escape"
-           in
+           (* exactly four hex digits: [int_of_string] alone would also
+              read OCaml's [_] separators, so ["\\u4_1_"] became "A" *)
+           let hex = String.sub s !pos 4 in
+           if
+             not
+               (String.for_all
+                  (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+                  hex)
+           then fail "bad \\u escape";
+           let code = int_of_string ("0x" ^ hex) in
            pos := !pos + 4;
            (* Encode the code point as UTF-8; surrogate pairs are not
               recombined — trace strings are ASCII in practice. *)

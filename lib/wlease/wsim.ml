@@ -42,17 +42,18 @@ let run setup ~trace =
       ~loss:setup.loss ~m_prop:setup.m_prop ~m_proc:setup.m_proc ()
   in
   let engine = w.engine in
+  let server_clock = Clock.create engine () in
   let layout =
     {
       (Leases.Harness.single_server ~n_clients:setup.n_clients) with
-      server_clocks = [| Clock.create engine () |];
+      server_clock = Some server_clock;
       client_clocks = Array.init setup.n_clients (fun _ -> Clock.create engine ());
     }
   in
   let server_host = Leases.Harness.server_host 0 in
   let store = w.store and oracle = w.oracle in
   let server =
-    Wserver.create ~engine ~clock:layout.server_clocks.(0) ~net:w.net ~liveness:w.liveness
+    Wserver.create ~engine ~clock:server_clock ~net:w.net ~liveness:w.liveness
       ~host:server_host ~store ~term:setup.term ()
   in
   let clients =

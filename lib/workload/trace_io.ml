@@ -12,13 +12,20 @@ let print trace =
     (Trace.ops trace);
   Buffer.contents buffer
 
+(* A non-negative decimal integer: digits only.  [int_of_string_opt] alone
+   also reads OCaml literal syntax — [1_000], [0x10], [0b1], [+5]. *)
+let nat s =
+  if s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s then
+    int_of_string_opt s
+  else None
+
 let parse_line line =
   match String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") with
   | [ at; client; kind; file ] | [ at; client; kind; file; "T" ] -> (
     let temporary = List.length (String.split_on_char ' ' (String.trim line)
                                  |> List.filter (( <> ) "")) = 5 in
-    match int_of_string_opt at, int_of_string_opt client, kind, int_of_string_opt file with
-    | Some at, Some client, ("R" | "W"), Some file when at >= 0 && client >= 0 && file >= 0 ->
+    match nat at, nat client, kind, nat file with
+    | Some at, Some client, ("R" | "W"), Some file ->
       Ok
         {
           Op.at = Simtime.Time.of_us at;

@@ -58,9 +58,11 @@ dune exec bin/simulate.exe -- -p leases -t 10 -n 6 -d 120 -s 3 --loss 0.05 \
 dune exec bin/latency_view.exe -- /tmp/leases_latency.json --gate-conserve -q
 
 echo "== sharded smoke sim + invariant checker =="
-# A four-shard deployment with a shard failover mid-run must replay
-# through the multi-server checker with zero violations; --map-seed
-# mirrors the run's -s so tracedump rebuilds the same shard map.
+# A four-shard deployment (one sub-simulation per shard, run one after
+# another at the default --domains 1) with a shard failover mid-run must
+# replay through the multi-server checker with zero violations; --map-seed
+# mirrors the run's -s so tracedump rebuilds the same shard map.  The
+# campaign below runs its sharded schedules' parts on two domains.
 dune exec bin/simulate.exe -- -p leases -t 10 -n 6 -d 120 -s 3 --shards 4 \
   --fault crash-shard=1,40,8 --trace /tmp/leases_shard_smoke.jsonl > /dev/null
 dune exec bin/tracedump.exe -- /tmp/leases_shard_smoke.jsonl \

@@ -75,6 +75,11 @@ let test_shard_indexed_clock_fault_specs () =
       "crash-client=1.7,10,5";
       "crash-client=nan,10,5";
       "crash-shard=-1,10,5";
+      (* plain decimals only: OCaml literal syntax is not reinterpreted
+         (these read as client 1 and 16 s) *)
+      "crash-client=1_,10,5";
+      "crash-server=0x1p4,5";
+      "client-drift=0,10,infinity";
     ]
 
 let test_campaign_report_byte_identical () =
@@ -105,6 +110,22 @@ let test_sharded_schedules_generated () =
       Alcotest.(check bool) ("command reproduces sharding: " ^ cmd) true (has "--shards");
       Alcotest.(check bool) ("failover fault present: " ^ cmd) true (has "crash-shard="))
     sharded
+
+let test_sharded_schedule_domain_independent () =
+  (* a sharded schedule runs its parts on two domains; the outcome — every
+     classification input, the telemetry and the worst write — must be the
+     one the parts give on a single domain *)
+  match
+    List.find_opt
+      (fun s -> s.Fault_campaign.Schedule.n_shards > 1)
+      (Fault_campaign.Gen.schedules ~seed:1 ~n:25)
+  with
+  | None -> Alcotest.fail "seed 1 generates no sharded schedule"
+  | Some s ->
+    let json domains =
+      Trace.Json.to_string (Fault_campaign.Runner.to_json (Fault_campaign.Runner.run ~domains s))
+    in
+    Alcotest.(check string) "same outcome JSON" (json 1) (json 2)
 
 let test_unsafe_budget_small_vs_allowance () =
   Alcotest.(check bool) "unsafe budget under the 100 ms skew allowance" true
@@ -176,6 +197,8 @@ let () =
           Alcotest.test_case "fault specs round-trip" `Quick test_fault_specs_round_trip;
           Alcotest.test_case "shard-indexed clock faults" `Quick test_shard_indexed_clock_fault_specs;
           Alcotest.test_case "sharded schedules generated" `Quick test_sharded_schedules_generated;
+          Alcotest.test_case "sharded schedule: 1 domain = 2 domains" `Quick
+            test_sharded_schedule_domain_independent;
           Alcotest.test_case "unsafe budget bounded" `Quick test_unsafe_budget_small_vs_allowance;
         ] );
       ( "harness",

@@ -266,12 +266,6 @@ let test_out_of_range_fault_client_rejected () =
             (Leases.Sim.run
                { Leases.Sim.default_setup with Leases.Sim.n_clients = 4; faults }
                ~trace) );
-      ( "Deploy.run",
-        fun () ->
-          ignore
-            (Shard.Deploy.run
-               { Shard.Deploy.default_setup with Shard.Deploy.n_clients = 4; faults }
-               ~trace) );
       ( "Deploy.run_split",
         fun () ->
           ignore

@@ -1,6 +1,6 @@
 (* Sharded deployment: map determinism and balance, clean multi-shard
-   runs, shard failover under the max-term rule, and per-shard telemetry
-   with §3.1 residuals. *)
+   runs, shard failover under the max-term rule, per-shard telemetry with
+   §3.1 residuals, and the request-id layout's shard field. *)
 
 open Simtime
 
@@ -79,8 +79,8 @@ let v_trace ?(duration = 300.) ?(clients = 6) () =
 let test_sharded_run_clean () =
   let setup = sharded_setup () in
   let trace = v_trace () in
-  let outcome = Shard.Deploy.run setup ~trace in
-  let m = outcome.Shard.Deploy.metrics in
+  let outcome = Shard.Deploy.run_split setup ~trace in
+  let m = outcome.Shard.Deploy.sp_metrics in
   Alcotest.(check int) "zero oracle violations" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check bool) "work happened" true (m.Leases.Metrics.reads_completed > 0);
   Alcotest.(check int) "nothing dropped" 0 m.Leases.Metrics.dropped_ops;
@@ -89,7 +89,7 @@ let test_sharded_run_clean () =
   let sum =
     Array.fold_left
       (fun acc sl -> acc + sl.Shard.Deploy.sl_consistency_msgs)
-      0 outcome.Shard.Deploy.per_shard
+      0 outcome.Shard.Deploy.sp_per_shard
   in
   Alcotest.(check int) "per-shard loads sum to aggregate" m.Leases.Metrics.consistency_msgs sum;
   Array.iter
@@ -98,20 +98,18 @@ let test_sharded_run_clean () =
         (Printf.sprintf "shard %d handled traffic" sl.Shard.Deploy.sl_shard)
         true
         (sl.Shard.Deploy.sl_total_msgs > 0))
-    outcome.Shard.Deploy.per_shard
+    outcome.Shard.Deploy.sp_per_shard
 
 let test_single_shard_matches_sim_load () =
-  (* one shard routes everything to host 0, so the cluster degenerates to
-     the single-server harness: same commits, same oracle verdict *)
+  (* one shard owns every file, so the deployment degenerates to the
+     single-server harness: same commits, same oracle verdict *)
   let trace = v_trace ~duration:200. () in
-  let sharded =
-    Shard.Deploy.run (sharded_setup ~n_shards:1 ()) ~trace
-  in
-  let m = sharded.Shard.Deploy.metrics in
+  let sharded = Shard.Deploy.run_split (sharded_setup ~n_shards:1 ()) ~trace in
+  let m = sharded.Shard.Deploy.sp_metrics in
   Alcotest.(check int) "zero violations" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check int) "one shard carries everything"
     m.Leases.Metrics.consistency_msgs
-    sharded.Shard.Deploy.per_shard.(0).Shard.Deploy.sl_consistency_msgs
+    sharded.Shard.Deploy.sp_per_shard.(0).Shard.Deploy.sl_consistency_msgs
 
 let test_shard_failover () =
   (* crash one shard's server mid-run: its files stall through the crash
@@ -125,14 +123,14 @@ let test_shard_failover () =
     sharded_setup ~faults ~tracer:(Trace.Sink.buffer_sink buf) ()
   in
   let trace = v_trace ~duration:400. () in
-  let outcome = Shard.Deploy.run setup ~trace in
-  let m = outcome.Shard.Deploy.metrics in
+  let outcome = Shard.Deploy.run_split setup ~trace in
+  let m = outcome.Shard.Deploy.sp_metrics in
   Alcotest.(check int) "zero oracle violations" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check bool) "reads completed" true (m.Leases.Metrics.reads_completed > 0);
   let report =
     Trace.Checker.check
       ~servers:(Shard.Deploy.server_hosts setup)
-      ~owner:(fun f -> Shard.Shard_map.owner outcome.Shard.Deploy.map (Vstore.File_id.of_int f))
+      ~owner:(fun f -> Shard.Shard_map.owner outcome.Shard.Deploy.sp_map (Vstore.File_id.of_int f))
       (Trace.Sink.buffer_contents buf)
   in
   Alcotest.(check int) "checker: no violations"
@@ -148,24 +146,24 @@ let test_failover_other_shards_keep_serving () =
   in
   let setup = sharded_setup ~faults ~telemetry:10. () in
   let trace = v_trace ~duration:300. () in
-  let outcome = Shard.Deploy.run setup ~trace in
-  (match outcome.Shard.Deploy.telemetry with
+  let outcome = Shard.Deploy.run_split setup ~trace in
+  (match Shard.Deploy.split_telemetry_report setup outcome with
   | None -> Alcotest.fail "telemetry expected"
-  | Some collector ->
+  | Some reports ->
     (* shard 0's windows show the outage (server down), the others never
        go down *)
     let down_windows shard =
       List.length
         (List.filter
            (fun (w : Telemetry.Sampler.window) -> not w.Telemetry.Sampler.server_up)
-           (Shard.Shard_telemetry.windows collector ~shard))
+           reports.(shard).Shard.Shard_telemetry.sr_windows)
     in
     Alcotest.(check bool) "crashed shard shows down windows" true (down_windows 0 > 0);
     for s = 1 to 3 do
       Alcotest.(check int) (Printf.sprintf "shard %d stayed up" s) 0 (down_windows s)
     done);
   Alcotest.(check int) "zero oracle violations" 0
-    outcome.Shard.Deploy.metrics.Leases.Metrics.oracle_violations;
+    outcome.Shard.Deploy.sp_metrics.Leases.Metrics.oracle_violations;
   (* surviving shards committed during the outage: compare their commits
      against a run where shard 0 never crashes — they are within noise *)
   Array.iteri
@@ -175,13 +173,13 @@ let test_failover_other_shards_keep_serving () =
           (Printf.sprintf "shard %d committed" s)
           true
           (sl.Shard.Deploy.sl_commits > 0))
-    outcome.Shard.Deploy.per_shard
+    outcome.Shard.Deploy.sp_per_shard
 
 let test_per_shard_residuals () =
   let setup = sharded_setup ~telemetry:30. () in
   let trace = v_trace ~duration:600. () in
-  let outcome = Shard.Deploy.run setup ~trace in
-  match Shard.Deploy.telemetry_report setup outcome with
+  let outcome = Shard.Deploy.run_split setup ~trace in
+  match Shard.Deploy.split_telemetry_report setup outcome with
   | None -> Alcotest.fail "telemetry expected"
   | Some reports ->
     Alcotest.(check int) "one report per shard" 4 (Array.length reports);
@@ -198,13 +196,13 @@ let test_per_shard_residuals () =
              r.Shard.Shard_telemetry.sr_summary.Telemetry.Residual.steady_load_residual))
       reports
 
-(* --- sequential goldens -------------------------------------------- *)
+(* --- goldens --------------------------------------------------------- *)
 
-(* The exact metrics documents two seeded CLI runs produced before the
-   split-deployment refactor landed (committed as
-   golden_shard_seq_*.json).  The shared-engine path must keep producing
-   them byte for byte: any drift means the refactor changed the
-   sequential simulation, not just reorganised it. *)
+(* Two seeded CLI-shaped split runs, one clean and one with a shard crash
+   and server clock faults, pinned as their metrics document and the md5
+   of their encoded merged trace (golden_split_*.json, generated before
+   the deployment was reduced to the split path).  Any drift means a
+   change altered the simulation, not just reorganised it. *)
 
 let read_file path =
   (* dune runtest runs in the test directory; a `dune exec` from the repo
@@ -244,26 +242,35 @@ let fault_exn spec =
   | Ok fault -> fault
   | Error why -> Alcotest.failf "fault spec %S: %s" spec why
 
-let test_golden_sequential_clean () =
+let golden_document setup ~trace =
+  let buf = Trace.Sink.buffer () in
   let outcome =
-    Shard.Deploy.run (cli_setup ~seed:1L ~faults:[] ()) ~trace:(cli_trace ~seed:1L ~duration:300.)
+    Shard.Deploy.run_split ~domains:1
+      { setup with Shard.Deploy.tracer = Trace.Sink.buffer_sink buf }
+      ~trace
   in
-  Alcotest.(check string)
-    "clean 4-shard run matches the pre-refactor golden"
-    (String.trim (read_file "golden_shard_seq_clean.json"))
-    (Leases.Metrics.to_json outcome.Shard.Deploy.metrics)
+  let encoded =
+    String.concat ""
+      (List.map (fun e -> Trace.Codec.encode e ^ "\n") (Trace.Sink.buffer_contents buf))
+  in
+  Printf.sprintf "{\"metrics\":%s,\"trace_md5\":\"%s\"}"
+    (Leases.Metrics.to_json outcome.Shard.Deploy.sp_metrics)
+    (Digest.to_hex (Digest.string encoded))
 
-let test_golden_sequential_faults () =
+let test_golden_clean () =
+  Alcotest.(check string)
+    "clean 4-shard run matches its golden"
+    (String.trim (read_file "golden_split_clean.json"))
+    (golden_document (cli_setup ~seed:1L ~faults:[] ()) ~trace:(cli_trace ~seed:1L ~duration:300.))
+
+let test_golden_faults () =
   let faults =
     List.map fault_exn [ "crash-shard=1,40,8"; "server-drift=60,0.5"; "server-step=80,-2" ]
   in
-  let outcome =
-    Shard.Deploy.run (cli_setup ~seed:3L ~faults ()) ~trace:(cli_trace ~seed:3L ~duration:120.)
-  in
   Alcotest.(check string)
-    "faulted 4-shard run matches the pre-refactor golden"
-    (String.trim (read_file "golden_shard_seq_faults.json"))
-    (Leases.Metrics.to_json outcome.Shard.Deploy.metrics)
+    "faulted 4-shard run matches its golden"
+    (String.trim (read_file "golden_split_faults.json"))
+    (golden_document (cli_setup ~seed:3L ~faults ()) ~trace:(cli_trace ~seed:3L ~duration:120.))
 
 (* --- split deployment ---------------------------------------------- *)
 
@@ -276,11 +283,10 @@ let split_observables ~domains ~faults ~duration () =
   let trace = v_trace ~duration () in
   let outcome = Shard.Deploy.run_split ~domains setup ~trace in
   let windows =
-    match outcome.Shard.Deploy.sp_telemetry with
+    match Shard.Deploy.split_telemetry_report setup outcome with
     | None -> []
-    | Some collector ->
-      List.init setup.Shard.Deploy.n_shards (fun s ->
-          Shard.Shard_telemetry.windows collector ~shard:s)
+    | Some reports ->
+      Array.to_list (Array.map (fun r -> r.Shard.Shard_telemetry.sr_windows) reports)
   in
   ( Leases.Metrics.to_json outcome.Shard.Deploy.sp_metrics,
     outcome.Shard.Deploy.sp_per_shard,
@@ -346,14 +352,16 @@ let test_split_merged_trace_ordered () =
     (ordered (Trace.Sink.buffer_contents buf))
 
 let test_single_shard_deploy_is_sim () =
-  (* Sim.run and Deploy.run ~n_shards:1 build the same cluster through the
-     same harness, so a seeded lossy run with faults of every kind gives the
-     same metrics JSON and the same encoded trace, byte for byte *)
+  (* Sim.run and a one-shard run_split build the same cluster through the
+     same harness, so a seeded run with clock faults of every kind gives
+     the same metrics JSON and the same encoded trace, byte for byte.  The
+     part draws its RNG stream from a split of the seed, so the runs stay
+     loss-free and crash-free: nothing retransmits, and no draw is made *)
   let faults =
     List.map fault_exn
       [
-        "crash-client=2,30,10"; "crash-server=40,8"; "partition=1+3,50,5"; "client-drift=4,60,0.3";
-        "server-drift=70,0.2"; "client-step=5,80,1.5"; "server-step=90,-1";
+        "client-drift=4,60,0.3"; "server-drift=70,0.2"; "client-step=5,80,1.5";
+        "server-step=90,-1";
       ]
   in
   let trace = v_trace ~duration:150. () in
@@ -366,7 +374,6 @@ let test_single_shard_deploy_is_sim () =
             Leases.Sim.default_setup with
             Leases.Sim.seed;
             n_clients = 6;
-            loss = 0.02;
             faults;
             tracer = Trace.Sink.buffer_sink sim_buf;
           }
@@ -374,11 +381,10 @@ let test_single_shard_deploy_is_sim () =
       in
       let deploy_buf = Trace.Sink.buffer () in
       let deployed =
-        Shard.Deploy.run
+        Shard.Deploy.run_split
           {
             (sharded_setup ~n_shards:1 ~faults ~tracer:(Trace.Sink.buffer_sink deploy_buf) ()) with
             Shard.Deploy.seed;
-            loss = 0.02;
           }
           ~trace
       in
@@ -386,7 +392,7 @@ let test_single_shard_deploy_is_sim () =
       Alcotest.(check string)
         (Printf.sprintf "seed %Ld: metrics identical" seed)
         (Leases.Metrics.to_json sim.Leases.Sim.metrics)
-        (Leases.Metrics.to_json deployed.Shard.Deploy.metrics);
+        (Leases.Metrics.to_json deployed.Shard.Deploy.sp_metrics);
       Alcotest.(check (list string))
         (Printf.sprintf "seed %Ld: traces identical" seed)
         (encoded sim_buf) (encoded deploy_buf))
@@ -415,10 +421,60 @@ let test_split_client_faults_traced_once () =
 let test_deploy_deterministic () =
   let trace = v_trace ~duration:120. () in
   let run () =
-    let outcome = Shard.Deploy.run (sharded_setup ()) ~trace in
-    Leases.Metrics.to_json outcome.Shard.Deploy.metrics
+    let outcome = Shard.Deploy.run_split (sharded_setup ()) ~trace in
+    Leases.Metrics.to_json outcome.Shard.Deploy.sp_metrics
   in
   Alcotest.(check string) "same seed, same metrics" (run ()) (run ())
+
+(* --- request-id layout --------------------------------------------- *)
+
+let test_shard_limit () =
+  (* the shard field has 6 bits: with 65 shards, part 64's origin for
+     client 0 would be client 1's part-0 origin, so the deployment is
+     refused before any part runs *)
+  let max = Trace.Op_id.max_shards in
+  Alcotest.(check int) "64 shards fit" 64 max;
+  Alcotest.(check bool) "the last shard's origin stays below the next host" true
+    (Trace.Op_id.origin ~host:7 ~shard:(max - 1) < Trace.Op_id.origin ~host:8 ~shard:0);
+  Alcotest.check_raises "65 shards refused"
+    (Invalid_argument "Deploy.run_split: 65 shards, at most 64 fit the request-id layout")
+    (fun () ->
+      ignore
+        (Shard.Deploy.run_split ~domains:2 (sharded_setup ~n_shards:(max + 1) ())
+           ~trace:(v_trace ~duration:10. ())));
+  Alcotest.(check bool) "origin refuses shard 64" true
+    (match Trace.Op_id.origin ~host:1 ~shard:max with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_op_name_shard_field () =
+  (* a part-2 id renders its shard separately instead of folding it into
+     the sequence; shard-0 ids print as they always have *)
+  let id ~host ~shard seq = Trace.Op_id.origin ~host ~shard + seq in
+  Alcotest.(check string) "shard 0" "c4#6" (Trace.Op_id.name (id ~host:4 ~shard:0 6));
+  Alcotest.(check string) "shard 2" "c4/s2#6" (Trace.Op_id.name (id ~host:4 ~shard:2 6));
+  Alcotest.(check string) "shard 63" "c9/s63#0" (Trace.Op_id.name (id ~host:9 ~shard:63 0));
+  (* the ids a split run hands out carry their part's shard *)
+  let buf = Trace.Sink.buffer () in
+  let setup = sharded_setup ~tracer:(Trace.Sink.buffer_sink buf) () in
+  ignore (Shard.Deploy.run_split setup ~trace:(v_trace ~duration:60. ()));
+  let a = Trace.Critical_path.create () in
+  List.iter (Trace.Critical_path.feed a) (Trace.Sink.buffer_contents buf);
+  let named =
+    List.map
+      (fun (w : Trace.Critical_path.worst) -> w.Trace.Critical_path.w_explain)
+      (Trace.Critical_path.report ~k:50 a).Trace.Critical_path.r_worst
+  in
+  Alcotest.(check bool) "writes reported" true (named <> []);
+  Alcotest.(check bool) "no sequence swallowed a shard field" true
+    (List.for_all
+       (fun line ->
+         match String.index_opt line '#' with
+         | None -> false
+         | Some i ->
+           let j = try String.index_from line i ' ' with Not_found -> String.length line in
+           int_of_string (String.sub line (i + 1) (j - i - 1)) < 1 lsl 26)
+       named)
 
 let () =
   Alcotest.run "shard"
@@ -434,8 +490,8 @@ let () =
           Alcotest.test_case "clean sharded run" `Quick test_sharded_run_clean;
           Alcotest.test_case "single shard degenerates" `Quick test_single_shard_matches_sim_load;
           Alcotest.test_case "deterministic" `Quick test_deploy_deterministic;
-          Alcotest.test_case "golden: clean run unchanged" `Quick test_golden_sequential_clean;
-          Alcotest.test_case "golden: faulted run unchanged" `Quick test_golden_sequential_faults;
+          Alcotest.test_case "golden: clean run unchanged" `Quick test_golden_clean;
+          Alcotest.test_case "golden: faulted run unchanged" `Quick test_golden_faults;
           Alcotest.test_case "one shard is Sim, byte for byte" `Quick test_single_shard_deploy_is_sim;
         ] );
       ( "split",
@@ -455,5 +511,10 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "per-shard residuals" `Quick test_per_shard_residuals;
+        ] );
+      ( "op-id",
+        [
+          Alcotest.test_case "more than 64 shards refused" `Quick test_shard_limit;
+          Alcotest.test_case "shard field rendered apart" `Quick test_op_name_shard_field;
         ] );
     ]

@@ -91,7 +91,9 @@ let test_codec_rejects_garbage () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "decoded garbage %S" line)
     [ ""; "not json"; "{}"; {|{"at": 1.0}|}; {|{"at": 1.0, "ev": "no-such-kind"}|};
-      {|{"at": 1.0, "ev": "cache-hit"}|}; {|{"at": 1.0, "ev": "cache-hit", "host": 1, "file": 2, "version": 3, "now": 4.0} trailing|} ]
+      {|{"at": 1.0, "ev": "cache-hit"}|}; {|{"at": 1.0, "ev": "cache-hit", "host": 1, "file": 2, "version": 3, "now": 4.0} trailing|};
+      (* a \u escape is exactly four hex digits: "\u6_1_" is not "a" *)
+      {|{"at": 1.0, "ev": "c\u6_1_che-hit", "host": 1, "file": 2, "version": 3, "now": 4.0}|} ]
 
 (* --- sinks -------------------------------------------------------------- *)
 

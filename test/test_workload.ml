@@ -219,7 +219,14 @@ let test_trace_io_parsing () =
   | Ok _ -> Alcotest.fail "bad kind accepted");
   (match Workload.Trace_io.parse "-1 0 R 5\n" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative time accepted")
+  | Ok _ -> Alcotest.fail "negative time accepted");
+  (* plain decimal digits only: OCaml literal syntax is not reinterpreted *)
+  List.iter
+    (fun line ->
+      match Workload.Trace_io.parse line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "literal syntax accepted: %S" line)
+    [ "1_000 0 R 5\n"; "0x10 0 R 5\n"; "100 0b1 R 5\n"; "100 0 W +5\n"; "100 0o7 R 5\n" ]
 
 let () =
   Alcotest.run "workload"
