@@ -40,6 +40,11 @@ let test_lease_table =
     (Staged.stage (fun () ->
          ignore (Experiments.Corebench.lease_table_churn ~timer:Unix.gettimeofday ~ops:1000)))
 
+let test_lease_table_hot_file =
+  Test.make ~name:"lease-table hot file x1000"
+    (Staged.stage (fun () ->
+         ignore (Experiments.Corebench.lease_table_hot_file ~timer:Unix.gettimeofday ~ops:1000)))
+
 let test_prng =
   Test.make ~name:"splitmix64 x1000"
     (Staged.stage
@@ -122,6 +127,7 @@ let suite =
       test_event_queue;
       test_event_queue_cancel_heavy;
       test_lease_table;
+      test_lease_table_hot_file;
       test_prng;
       test_zero_sim;
       test_lease_sim;

@@ -124,6 +124,7 @@ let run_benches quick clients =
   let push_pop = Experiments.Corebench.event_queue_push_pop ~timer ~ops:micro_ops in
   let cancel_heavy = Experiments.Corebench.event_queue_cancel_heavy ~timer ~ops:micro_ops in
   let lease_table = Experiments.Corebench.lease_table_churn ~timer ~ops:micro_ops in
+  let hot_file = Experiments.Corebench.lease_table_hot_file ~timer ~ops:(micro_ops / 100) in
   let trace_sink = Experiments.Corebench.trace_emit ~timer ~ops:micro_ops in
   let classify = Experiments.Corebench.classify_bench ~timer ~ops:micro_ops in
   let telemetry = Experiments.Corebench.telemetry_bench ~timer ~ops:micro_ops in
@@ -190,7 +191,9 @@ let run_benches quick clients =
        cancel_heavy.Experiments.Corebench.live_target
        cancel_heavy.Experiments.Corebench.max_slots);
   Buffer.add_string buf
-    (Printf.sprintf "  \"lease_table\": { \"churn\": { %s } },\n" (micro_fields lease_table));
+    (Printf.sprintf
+       "  \"lease_table\": {\n    \"churn\": { %s },\n    \"hot_file\": { %s, \"holders\": %d }\n  },\n"
+       (micro_fields lease_table) (micro_fields hot_file) Experiments.Corebench.hot_file_holders);
   Buffer.add_string buf
     (Printf.sprintf
        "  \"trace_sink\": {\n    \"null\": { %s },\n    \"ring\": { %s, \"dropped\": %d }\n  },\n"
@@ -257,8 +260,10 @@ let run_benches quick clients =
     (push_pop.Experiments.Corebench.ops_per_sec /. 1e6)
     (cancel_heavy.Experiments.Corebench.g_micro.Experiments.Corebench.ops_per_sec /. 1e6)
     cancel_heavy.Experiments.Corebench.max_slots cancel_heavy.Experiments.Corebench.live_target;
-  Printf.printf "lease table : churn %.2f Mops/s\n"
-    (lease_table.Experiments.Corebench.ops_per_sec /. 1e6);
+  Printf.printf "lease table : churn %.2f Mops/s; hot file (%d holders) %.2f Mops/s\n"
+    (lease_table.Experiments.Corebench.ops_per_sec /. 1e6)
+    Experiments.Corebench.hot_file_holders
+    (hot_file.Experiments.Corebench.ops_per_sec /. 1e6);
   Printf.printf "trace sink  : null %.2f Mops/s; ring %.2f Mops/s\n"
     (trace_sink.Experiments.Corebench.null_sink.Experiments.Corebench.ops_per_sec /. 1e6)
     (trace_sink.Experiments.Corebench.ring_sink.Experiments.Corebench.ops_per_sec /. 1e6);

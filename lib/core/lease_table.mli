@@ -1,15 +1,27 @@
 (** The server's volatile per-file lease-holder table.
 
     An int-keyed mutable layout: a growable array indexed by file id, each
-    slot holding a holder-id -> server-local-expiry hash table plus the
-    earliest finite expiry among its records.  Records whose expiry the
-    server clock has passed are {e reaped} — removed for good — lazily on
-    the next access to the file and in bulk by the server's periodic
-    {!sweep}, so every aggregate here costs time proportional to the
-    file's {e live} holders, never to its lifetime holder history.  The
-    per-message hot path ([record]/[remove_holder]/[drop_file]) is O(1)
-    amortized, and [live_count] — the grant path's only aggregate — is a
-    reap check plus a table length.
+    slot holding its resident records plus the earliest finite expiry among
+    them.  A file with one holder stores it inline; a shared file keeps a
+    holder-id -> server-local-expiry hash table and, beside it, a binary
+    min-heap of (expiry, holder) entries.  Records whose expiry the server
+    clock has passed are {e reaped} — removed for good — lazily on the next
+    access to the file and in bulk by the server's periodic {!sweep}.
+
+    Costs, for a file with [n] resident holders:
+    - a reap pass costs O(1) when nothing has expired, and otherwise
+      O((expired + re-keyed) · log n): it pops only heap entries whose key
+      the clock has passed.  An entry is re-keyed when it surfaces after its
+      holder renewed to a later expiry — at most once per renewal;
+    - [record] is an amortized O(1) table update; a new holder or an
+      {e earlier} expiry (a backwards server clock step) adds an
+      O(log n) heap push.  [remove_holder] and [drop_file] are amortized
+      O(1).  Removed holders' entries are dropped when they surface, and
+      the heap is rebuilt from the table once it holds more than
+      [2n + 16] entries, so it never outgrows its holders by more;
+    - [live_count] — the grant path's only aggregate — is the reap check
+      plus a table length; the other aggregates fold over the [n] live
+      records once the reap is done.
 
     Reaping is semantically invisible to every query (an expired record
     was already excluded from all of them); its one observable effect is
@@ -21,7 +33,9 @@
     never mistaken for releases.
 
     All aggregates are deterministic: order-independent folds, or results
-    sorted by holder id.
+    sorted by holder id.  The records one reap pass removes reach the
+    {!set_on_reap} hook ordered by (expiry, holder id), whatever the hash
+    layout.
 
     The table is volatile server state — [clear] restores the just-crashed
     empty state (leases survive only in the WAL, as recovery deadlines). *)

@@ -80,6 +80,43 @@ let lease_table_churn ~timer ~ops =
   done;
   finish ~timer ~started ~ops
 
+let hot_file_holders = 5_000
+
+(* One op = renew one holder of a single widely shared file and ask for its
+   live count — the grant path on a hot file.  Ops alternate between two
+   round robins at two rates: a fifth of the [hot_file_holders] renew every
+   5 s, before their 10 s term ends (a later-expiry update, which the reap
+   later re-keys), the rest every 20 s, after it ended (reaped, then
+   recorded again as a new holder).  So about every other op the clock
+   passes an expiry and the op pays a reap pass: the regime where a reap
+   that rescans every live holder shows, and [lease_table_churn] (whose
+   records never expire) cannot. *)
+let lease_table_hot_file ~timer ~ops =
+  let table = Leases.Lease_table.create () in
+  let file = Vstore.File_id.of_int 0 in
+  let term = Time.Span.of_sec 10. in
+  let fast = hot_file_holders / 5 in
+  let slow = hot_file_holders - fast in
+  let holders = Array.init hot_file_holders (fun i -> Host.Host_id.of_int (i + 1)) in
+  (* a fast holder comes back every [2 * fast] ops = 5 s, a slow one every
+     [2 * slow] ops = 20 s *)
+  let dt_us = 5_000_000 / (2 * fast) in
+  let op i =
+    let now = Time.of_us (i * dt_us) in
+    let k = i / 2 in
+    let holder = if i mod 2 = 0 then holders.(k mod fast) else holders.(fast + (k mod slow)) in
+    Leases.Lease_table.record table file holder (Leases.Lease.At (Time.add now term));
+    ignore (Leases.Lease_table.live_count table file ~now)
+  in
+  for i = 0 to (2 * slow) - 1 do
+    op i
+  done;
+  let started = timer () in
+  for i = 2 * slow to (2 * slow) + ops - 1 do
+    op i
+  done;
+  finish ~timer ~started ~ops
+
 type trace_emit = { null_sink : micro; ring_sink : micro; ring_dropped : int }
 
 (* One op = one guarded emit attempt at a representative hot-path call

@@ -28,6 +28,18 @@ val event_queue_cancel_heavy : timer:(unit -> float) -> ops:int -> queue_growth
     bounds the heap. *)
 
 val lease_table_churn : timer:(unit -> float) -> ops:int -> micro
+(** Record, live-deadline scan and periodic removals over 1k files x 32
+    holders, with 10 s terms and a clock that advances microseconds per op:
+    no record ever expires, so this measures the upsert path only. *)
+
+val hot_file_holders : int
+(** Holders on {!lease_table_hot_file}'s one file (5,000). *)
+
+val lease_table_hot_file : timer:(unit -> float) -> ops:int -> micro
+(** Renew-then-[live_count] on one file with {!hot_file_holders} holders at
+    two renewal rates against a 10 s term: a fifth renew every 5 s, before
+    they expire, the rest every 20 s, after; about every other op pays a
+    reap pass — the grant path on a widely shared file. *)
 
 type trace_emit = { null_sink : micro; ring_sink : micro; ring_dropped : int }
 

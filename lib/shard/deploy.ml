@@ -196,6 +196,30 @@ let merge_split_metrics ~rtt_s parts =
       staleness = merged_hist (fun m -> m.staleness);
     }
 
+(* Merge the per-part streams by (timestamp, shard) into [push].  Each
+   part's buffer is already time-ordered, so repeatedly emitting the
+   earliest head — ties to the lowest shard — yields exactly the stable sort
+   of the shard-ordered concatenation, without building either list.  A
+   scan of the part cursors per event: parts are few (one per shard). *)
+let merge_streams (streams : Trace.Event.t list array) push =
+  let cursors = Array.copy streams in
+  let rec loop () =
+    let best = ref 0 in
+    for s = 1 to Array.length cursors - 1 do
+      match cursors.(s), cursors.(!best) with
+      | _ :: _, [] -> best := s
+      | e :: _, b :: _ when Float.compare e.Trace.Event.at b.Trace.Event.at < 0 -> best := s
+      | _ -> ()
+    done;
+    match cursors.(!best) with
+    | [] -> ()
+    | e :: rest ->
+      push e;
+      cursors.(!best) <- rest;
+      loop ()
+  in
+  if Array.length cursors > 0 then loop ()
+
 let run_split ?(domains = 1) setup ~trace =
   if setup.n_clients < 1 then invalid_arg "Deploy.run_split: need at least one client";
   if setup.n_shards < 1 then invalid_arg "Deploy.run_split: need at least one shard";
@@ -247,19 +271,10 @@ let run_split ?(domains = 1) setup ~trace =
       Array.map (function Some p -> p | None -> assert false) results
     end
   in
-  (* Merge the per-shard streams by (timestamp, shard): each part's buffer
-     is already time-ordered, and a stable sort of the shard-ordered
-     concatenation breaks timestamp ties by shard.  Replaying into the
-     caller's sink feeds whatever it wired up — a JSONL writer, a checker
-     buffer, a critical-path analyzer tee. *)
+  (* Replaying into the caller's sink feeds whatever it wired up — a JSONL
+     writer, a checker buffer, a critical-path analyzer tee. *)
   if Trace.Sink.enabled setup.tracer then begin
-    let all = List.concat_map (fun p -> p.p_events) (Array.to_list parts) in
-    let all =
-      List.stable_sort
-        (fun (a : Trace.Event.t) b -> Float.compare a.Trace.Event.at b.Trace.Event.at)
-        all
-    in
-    List.iter setup.tracer.Trace.Sink.push all;
+    merge_streams (Array.map (fun p -> p.p_events) parts) setup.tracer.Trace.Sink.push;
     Trace.Sink.flush setup.tracer
   end;
   let sp_telemetry =

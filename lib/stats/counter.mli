@@ -25,9 +25,17 @@ module Registry : sig
       across runs regardless of hash-table layout. *)
 
   val dump : ?prefix:string -> t -> (string * int) list
-  (** Like {!to_list} with [prefix] prepended to every name — the form the
-      telemetry sampler uses to merge several registries ("server/",
-      "client/0/", ...) into one deterministically ordered namespace. *)
+  (** Like {!to_list} with [prefix] prepended to every name, so several
+      registries ("server/", "client/0/", ...) merge into one namespace. *)
+
+  val cells : t -> counter list
+  (** Every counter, sorted by name: for a reader that dumps the same
+      registry repeatedly and resolves the names once (the telemetry
+      sampler). *)
+
+  val length : t -> int
+  (** Number of registered counters.  Registries only grow, so a reader
+      holding {!cells} can tell from this when to resolve them again. *)
 
   val find : t -> string -> int
   (** Current value under [name]; 0 if never touched. *)

@@ -50,16 +50,31 @@ type scalars = {
   mutable p_write_count : int;
 }
 
+(* The merged counter namespace, resolved once per sampler rather than
+   formatted and sorted again in every window: each counter's prefixed
+   name and cell in sorted name order, and the [(name, value)] pair the
+   previous window reported for it — reused as is while the value holds
+   still, and the baseline its delta is taken against.  [registered]
+   counts the registries' counters when it was built; registries only
+   grow, so a changed count means resolving again. *)
+type layout = {
+  cells : Stats.Counter.t array;
+  last : (string * int) array;
+  registered : int;
+}
+
 type t = {
   interval_s : float;
   mutable inst : Leases.Sim.instruments option;
+  mutable layout : layout option;
+  mutable last_skews : (string * float) array;
+      (** the previous window's per-host skew pairs, names built once *)
   mutable breakdown : Breakdown.t option;
   mutable phase_source : (unit -> (string * float) list) option;
   mutable rev_windows : window list;
   mutable closed : int;
   mutable last_t : float;
   mutable finalized : bool;
-  prev_counters : (string, int) Hashtbl.t;
   prev_entity : (string, (int, int) Hashtbl.t) Hashtbl.t;
   prev_phases : (string, float) Hashtbl.t;
   prev : scalars;
@@ -71,13 +86,14 @@ let create ?(interval_s = 10.) () =
   {
     interval_s;
     inst = None;
+    layout = None;
+    last_skews = [||];
     breakdown = None;
     phase_source = None;
     rev_windows = [];
     closed = 0;
     last_t = 0.;
     finalized = false;
-    prev_counters = Hashtbl.create 64;
     prev_entity = Hashtbl.create 16;
     prev_phases = Hashtbl.create 8;
     prev =
@@ -113,29 +129,62 @@ let phase_deltas t =
         if value <> prev then Some (name, value -. prev) else None)
       (source ())
 
-(* Merged cumulative counter dump: server registry under "server/", each
-   client's under "client/<i>/", globally sorted so exports are
-   byte-stable. *)
-let cumulative_counters (inst : Leases.Sim.instruments) =
-  let server = Stats.Counter.Registry.dump ~prefix:"server/" (Server.counters inst.i_server) in
-  let clients =
-    Array.to_list
-      (Array.mapi
-         (fun i c ->
-           Stats.Counter.Registry.dump ~prefix:(Printf.sprintf "client/%d/" i)
-             (Client.counters c))
-         inst.i_clients)
-    |> List.concat
-  in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) (server @ clients)
+let registered (inst : Leases.Sim.instruments) =
+  Array.fold_left
+    (fun acc c -> acc + Stats.Counter.Registry.length (Client.counters c))
+    (Stats.Counter.Registry.length (Server.counters inst.i_server))
+    inst.i_clients
 
-let counter_deltas t counters =
-  List.filter_map
-    (fun (name, value) ->
-      let prev = Option.value (Hashtbl.find_opt t.prev_counters name) ~default:0 in
-      Hashtbl.replace t.prev_counters name value;
-      if value <> prev then Some (name, value - prev) else None)
-    counters
+(* Server registry under "server/", each client's under "client/<i>/",
+   globally sorted so exports are byte-stable.  A counter new to the
+   namespace starts from a previous value of 0. *)
+let build_layout ~previous (inst : Leases.Sim.instruments) =
+  let prefixed prefix registry =
+    List.map (fun cell -> (prefix ^ Stats.Counter.name cell, cell)) (Stats.Counter.Registry.cells registry)
+  in
+  let entries =
+    prefixed "server/" (Server.counters inst.i_server)
+    :: Array.to_list
+         (Array.mapi (fun i c -> prefixed (Printf.sprintf "client/%d/" i) (Client.counters c)) inst.i_clients)
+    |> List.concat
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> Array.of_list
+  in
+  let before = Hashtbl.create 64 in
+  Option.iter (fun l -> Array.iter (fun (name, v) -> Hashtbl.replace before name v) l.last) previous;
+  {
+    cells = Array.map snd entries;
+    last =
+      Array.map
+        (fun (name, _) -> (name, Option.value (Hashtbl.find_opt before name) ~default:0))
+        entries;
+    registered = registered inst;
+  }
+
+(* The cumulative merged counter dump and the counters that moved since
+   the previous window, with their increments; both sorted by name. *)
+let sample_counters t (inst : Leases.Sim.instruments) =
+  let layout =
+    match t.layout with
+    | Some l when l.registered = registered inst -> l
+    | previous ->
+      let l = build_layout ~previous inst in
+      t.layout <- Some l;
+      l
+  in
+  let counters = ref [] and deltas = ref [] in
+  for i = Array.length layout.cells - 1 downto 0 do
+    let ((name, before) as last) = layout.last.(i) in
+    let value = Stats.Counter.value layout.cells.(i) in
+    if value = before then counters := last :: !counters
+    else begin
+      let pair = (name, value) in
+      layout.last.(i) <- pair;
+      counters := pair :: !counters;
+      deltas := (name, value - before) :: !deltas
+    end
+  done;
+  (!counters, !deltas)
 
 let entity_deltas t breakdown =
   List.filter_map
@@ -164,16 +213,31 @@ let in_flight_msgs (inst : Leases.Sim.instruments) =
   Netsim.Net.attempts net - Netsim.Net.deliveries net - Netsim.Net.dropped_loss net
   - Netsim.Net.dropped_partition net - Netsim.Net.dropped_down net
 
-let skews (inst : Leases.Sim.instruments) =
+(* Skews are integer-microsecond spans converted to seconds, so an
+   unchanged reading is the same float and its pair is reused. *)
+let skews t (inst : Leases.Sim.instruments) =
   let engine_now = Engine.now inst.i_engine in
   let skew clock = Time.Span.to_sec (Time.diff (Clock.now clock) engine_now) in
-  ("server", skew inst.i_server_clock)
-  :: Array.to_list (Array.mapi (fun i c -> (Printf.sprintf "client/%d" i, skew c)) inst.i_client_clocks)
+  let n = Array.length inst.i_client_clocks in
+  if Array.length t.last_skews <> n + 1 then
+    t.last_skews <-
+      Array.init (n + 1) (fun i -> ((if i = 0 then "server" else Printf.sprintf "client/%d" (i - 1)), nan));
+  let pairs = ref [] in
+  for i = n downto 0 do
+    let ((name, before) as last) = t.last_skews.(i) in
+    let value = skew (if i = 0 then inst.i_server_clock else inst.i_client_clocks.(i - 1)) in
+    if Float.equal value before then pairs := last :: !pairs
+    else begin
+      let pair = (name, value) in
+      t.last_skews.(i) <- pair;
+      pairs := pair :: !pairs
+    end
+  done;
+  !pairs
 
 let take_sample t (inst : Leases.Sim.instruments) =
   let t_end = Time.to_sec (Engine.now inst.i_engine) in
-  let counters = cumulative_counters inst in
-  let deltas = counter_deltas t counters in
+  let counters, deltas = sample_counters t inst in
   let sum f = Array.fold_left (fun acc c -> acc + f c) 0 inst.i_clients in
   let hits = sum Client.hits and misses = sum Client.misses in
   let ext = Server.messages_handled inst.i_server Leases.Messages.Extension in
@@ -216,7 +280,7 @@ let take_sample t (inst : Leases.Sim.instruments) =
       in_flight_msgs = in_flight_msgs inst;
       server_up = snap.Server.up;
       server_recovering = snap.Server.recovering;
-      skews = skews inst;
+      skews = skews t inst;
       by_entity =
         (match t.breakdown with Some b -> entity_deltas t b | None -> []);
       write_phase_sums = phase_deltas t;

@@ -178,6 +178,39 @@ let test_config_with_term () =
   | Leases.Term_policy.Fixed s -> Alcotest.(check (float 1e-9)) "fixed 7" 7. (Time.Span.to_sec s)
   | _ -> Alcotest.fail "fixed policy"
 
+(* One reap pass on a widely shared file hands its expired records to the
+   reap hook — the server's [lease-expire] trace events — in (expiry,
+   holder id) order, whatever order the holders were recorded, renewed,
+   removed and re-recorded in. *)
+let test_reap_order () =
+  let open Leases in
+  let t = Lease_table.create () in
+  let file = Vstore.File_id.of_int 3 in
+  let reaped = ref [] in
+  Lease_table.set_on_reap t (fun f h e ->
+      if not (Vstore.File_id.equal f file) then Alcotest.fail "reap on another file";
+      reaped := (Host.Host_id.to_int h, e) :: !reaped);
+  let at s = Lease.At (sec s) in
+  let record h e = Lease_table.record t file (Host.Host_id.of_int h) e in
+  List.iter
+    (fun (h, s) -> record h (at s))
+    [ (9, 5.); (2, 7.); (14, 5.); (5, 3.); (11, 7.); (1, 9.); (8, 3.); (20, 30.) ];
+  record 7 Lease.Never;
+  record 1 (at 4.) (* renewed to an earlier expiry *);
+  record 5 (at 6.) (* renewed to a later expiry *);
+  Lease_table.remove_holder t file (Host.Host_id.of_int 2);
+  record 2 (at 2.) (* re-recorded after its removal *);
+  record 20 (at 8.);
+  Alcotest.(check int) "nothing reaped before the clock moves" 9
+    (Lease_table.live_count t file ~now:(sec 1.));
+  Alcotest.(check int) "only the Never holder survives" 1
+    (Lease_table.live_count t file ~now:(sec 8.));
+  let expiry = Alcotest.testable Lease.pp_expiry ( = ) in
+  Alcotest.(check (list (pair int expiry)))
+    "one pass, in (expiry, holder) order"
+    [ (2, at 2.); (8, at 3.); (1, at 4.); (9, at 5.); (14, at 5.); (5, at 6.); (11, at 7.); (20, at 8.) ]
+    (List.rev !reaped)
+
 let () =
   Alcotest.run "lease-types"
     [
@@ -189,6 +222,7 @@ let () =
           Alcotest.test_case "client never outlives server" `Quick test_client_never_outlives_server;
           Alcotest.test_case "expired + max" `Quick test_expired_and_max;
         ] );
+      ("lease-table", [ Alcotest.test_case "reap order on a hot file" `Quick test_reap_order ]);
       ( "term-policy",
         [
           Alcotest.test_case "static policies" `Quick test_static_policies;

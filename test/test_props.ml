@@ -182,6 +182,150 @@ let prop_lease_table_model =
       check_occupancy ();
       !ok)
 
+(* The same reaping table on hot files: up to 40 holders on each of two
+   files, so the expiry heap grows, goes stale and compacts.  Renewals
+   move an expiry later or earlier, holders are removed and re-recorded,
+   the whole table is cleared, and the clock steps backwards as well as
+   forwards.  The model is itself forgetful — an access at [now] reaps
+   the file's records expired at [now] — so it stays exact across
+   backwards steps.  On every step each file's reap hook must fire exactly
+   for the model's expired records, once each, in (expiry, holder) order,
+   every live query must agree with the model, and the heap must stay
+   within its [2n + 16] compaction bound. *)
+let prop_lease_table_hot_model =
+  QCheck.Test.make ~name:"lease table: hot-file reaps match the model" ~count:200
+    QCheck.(
+      list_of_size Gen.(0 -- 400) (quad (int_bound 11) (int_bound 1) (int_bound 39) (int_bound 300)))
+    (fun script ->
+      let open Leases in
+      let t = Lease_table.create () in
+      let reaped = ref [] in
+      Lease_table.set_on_reap t (fun f h e ->
+          reaped := (Vstore.File_id.to_int f, Host.Host_id.to_int h, e) :: !reaped);
+      let model = Hashtbl.create 64 in
+      let now = ref (sec 100.) in
+      let ok = ref true in
+      let file i = Vstore.File_id.of_int i in
+      let host i = Host.Host_id.of_int i in
+      let by_expiry (h1, e1) (h2, e2) =
+        match e1, e2 with
+        | Lease.At a, Lease.At b -> ( match Time.compare a b with 0 -> compare h1 h2 | c -> c)
+        | Lease.At _, Lease.Never -> -1
+        | Lease.Never, Lease.At _ -> 1
+        | Lease.Never, Lease.Never -> compare h1 h2
+      in
+      (* the model's reap of file [f] at [now]: what the hook must report *)
+      let model_reap f =
+        let expired =
+          Hashtbl.fold
+            (fun (f', h) e acc -> if f' = f && Lease.expired e ~now:!now then (h, e) :: acc else acc)
+            model []
+          |> List.sort by_expiry
+        in
+        List.iter (fun (h, _) -> Hashtbl.remove model (f, h)) expired;
+        List.map (fun (h, e) -> (f, h, e)) expired
+      in
+      let take_reaped () =
+        let r = List.rev !reaped in
+        reaped := [];
+        r
+      in
+      let model_holders f =
+        Hashtbl.fold (fun (f', h) e acc -> if f' = f then (h, e) :: acc else acc) model []
+      in
+      let check_file f =
+        let got = Lease_table.live_count t (file f) ~now:!now in
+        if take_reaped () <> model_reap f then ok := false;
+        let live = model_holders f in
+        if got <> List.length live then ok := false;
+        let holders = List.sort compare (List.map fst live) in
+        if List.map Host.Host_id.to_int (Lease_table.live_holders t (file f) ~now:!now) <> holders
+        then ok := false;
+        let deadline =
+          List.fold_left (fun acc (_, e) -> Lease.expiry_max acc e) (Lease.At !now) live
+        in
+        if Lease_table.live_deadline t (file f) ~now:!now ~init:(Lease.At !now) <> deadline then
+          ok := false;
+        if take_reaped () <> [] then ok := false
+      in
+      let record f h e =
+        Lease_table.record t (file f) (host h) e;
+        Hashtbl.replace model (f, h) e
+      in
+      let step (op, f, h, x) =
+        (* expiries land from 10 s before to 20 s after [now] *)
+        let expiry = Lease.At (Time.add !now (span (float_of_int (x - 100) /. 10.))) in
+        (match op with
+        | 0 | 1 | 2 | 3 -> record f h expiry
+        | 4 -> record f h (if x mod 5 = 0 then Lease.Never else expiry)
+        | 5 ->
+          (* remove, then re-record the same holder *)
+          Lease_table.remove_holder t (file f) (host h);
+          Hashtbl.remove model (f, h);
+          if x mod 2 = 0 then record f h expiry
+        | 6 ->
+          Lease_table.drop_file t (file f);
+          List.iter (fun (h, _) -> Hashtbl.remove model (f, h)) (model_holders f)
+        | 7 ->
+          ignore (Lease_table.sweep t ~now:!now);
+          (* a sweep reaps file by file, each in (expiry, holder) order *)
+          let expected = List.concat_map model_reap [ 0; 1 ] in
+          if take_reaped () <> expected then ok := false
+        | 8 -> if x mod 10 = 0 then begin
+            Lease_table.clear t;
+            Hashtbl.reset model
+          end
+        | 9 ->
+          (* a backwards server clock step *)
+          now := Time.add !now (span (-.float_of_int x /. 20.))
+        | _ -> now := Time.add !now (span (float_of_int x /. 20.)));
+        (* only sweeps reap among the mutations above *)
+        if take_reaped () <> [] then ok := false;
+        List.iter check_file [ 0; 1 ]
+      in
+      List.iter step script;
+      !ok)
+
+(* Renewal-only churn on one hot file — the split deployment's pattern:
+   up to 40 holders renew over and over, mostly to later expiries, often to
+   earlier ones (each of which queues a second heap entry), while the clock
+   advances and reaps the holders that fell behind.  Compaction keeps the
+   heap within [2n + 16] entries, so its array never passes 4 * (2n + 17)
+   words, and the table's whole footprint stays within that much of a
+   table that recorded every holder once.  Without compaction the earlier
+   renewals alone grow the heap by some 1,200 words per 2,000 steps.  No
+   shrinking: a growth failure needs a long script, and shrinking one
+   replays it thousands of times; replay the printed seed instead. *)
+let prop_lease_table_heap_bounded =
+  QCheck.Test.make ~name:"lease table: expiry heap stays within its bound" ~count:100
+    (QCheck.make
+       ~print:(fun script -> Printf.sprintf "a script of %d renewals" (List.length script))
+       QCheck.Gen.(list_size (0 -- 2000) (triple (int_bound 39) (int_bound 200) (int_bound 9))))
+    (fun script ->
+      let open Leases in
+      let n = 40 in
+      let file = Vstore.File_id.of_int 0 in
+      let words t = Obj.reachable_words (Obj.repr t) in
+      let bound =
+        let full = Lease_table.create () in
+        for h = 0 to n - 1 do
+          Lease_table.record full file (Host.Host_id.of_int h) (Lease.At (sec 1.))
+        done;
+        words full + (4 * ((2 * n) + 17))
+      in
+      let t = Lease_table.create () in
+      let now = ref (sec 0.) in
+      List.for_all
+        (fun (h, x, k) ->
+          now := Time.add !now (Time.Span.of_ms 10.);
+          (* three renewals in ten move the expiry earlier than the last *)
+          let ahead = if k < 3 then x / 20 else 10 + (x / 10) in
+          Lease_table.record t file (Host.Host_id.of_int h)
+            (Lease.At (Time.add !now (span (float_of_int ahead))));
+          ignore (Lease_table.live_count t file ~now:!now);
+          words t <= bound)
+        script)
+
 (* --- the lease safety inequality --------------------------------------- *)
 
 let prop_client_never_outlives_server =
@@ -519,7 +663,9 @@ let () =
         List.map to_alcotest
           [ prop_event_queue_sorted; prop_event_queue_cancel; prop_event_queue_interleaved ] );
       ("lease", List.map to_alcotest [ prop_client_never_outlives_server ]);
-      ("lease-table", List.map to_alcotest [ prop_lease_table_model ]);
+      ( "lease-table",
+        List.map to_alcotest
+          [ prop_lease_table_model; prop_lease_table_hot_model; prop_lease_table_heap_bounded ] );
       ( "store",
         List.map to_alcotest
           [ prop_store_current_at_implies_was_current; prop_store_stale_version_rejected ] );

@@ -201,8 +201,11 @@ let test_per_shard_residuals () =
 (* Two seeded CLI-shaped split runs, one clean and one with a shard crash
    and server clock faults, pinned as their metrics document and the md5
    of their encoded merged trace (golden_split_*.json, generated before
-   the deployment was reduced to the split path).  Any drift means a
-   change altered the simulation, not just reorganised it. *)
+   the deployment was reduced to the split path; the md5s were replaced
+   once more when one reap pass's lease-expire events took their
+   (expiry, holder) order, after checking that the new traces are the
+   old lines with only same-instant lease-expire lines reordered).  Any
+   drift means a change altered the simulation, not just reorganised it. *)
 
 let read_file path =
   (* dune runtest runs in the test directory; a `dune exec` from the repo
